@@ -2857,6 +2857,71 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A schema-1 (JSON payload) artifact written by an older `map
+    /// --store-out` on `generate --scale tiny --seed 5`.
+    const STORE_V1_FIXTURE: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/store_v1_tiny_seed5.world"
+    );
+
+    #[test]
+    fn schema_1_artifacts_are_refused_and_serve_recompiles_loudly() {
+        // `store verify` fails (non-zero exit) with the typed class.
+        let err = run(&args(&["store", "verify", STORE_V1_FIXTURE])).unwrap_err();
+        assert!(matches!(err, CliError::Failed(_)), "{err}");
+        assert!(err.to_string().contains("schema_mismatch"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("schema 1 but this reader expects 2"),
+            "{err}"
+        );
+
+        // `serve --store` falls back to the bundle compile and says so.
+        let dir = tmpdir("serve-store-v1");
+        let data = dir.join("world");
+        run(&args(&[
+            "generate",
+            "--out",
+            data.to_str().unwrap(),
+            "--scale",
+            "tiny",
+            "--seed",
+            "5",
+            "-q",
+        ]))
+        .unwrap();
+        let (handle, addr) = spawn_serve(
+            args(&[
+                "serve",
+                "--data",
+                data.to_str().unwrap(),
+                "--threads",
+                "2",
+                "--store",
+                STORE_V1_FIXTURE,
+            ]),
+            &dir.join("addr"),
+        );
+        let client = borges_serve::ServeClient::new(addr);
+        assert_eq!(client.get("/v1/map/AS3356").unwrap().status, 200);
+        let metrics_resp = client.get("/metrics").unwrap();
+        let metrics = metrics_resp.body_text();
+        for line in [
+            "borges_store_degraded_total 1",
+            "borges_store_degraded_schema_mismatch_total 1",
+            "borges_store_recompile_total 1",
+        ] {
+            assert!(metrics.contains(line), "{line} missing:\n{metrics}");
+        }
+        client.post("/v1/admin/shutdown", b"").unwrap();
+        let out = handle.join().unwrap().unwrap();
+        assert!(
+            out.contains("store_degraded: schema_mismatch — recompiled from bundle"),
+            "{out}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn chaos_flag_validation() {
         for bad in [

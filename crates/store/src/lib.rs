@@ -10,7 +10,13 @@
 //! - **Format** ([`format`]): a length-prefixed sectioned container —
 //!   magic, versioned CRC32-guarded header, named CRC32-guarded
 //!   sections, whole-file SHA-256 footer. The digest doubles as the
-//!   artifact's *content address* in a catalog directory.
+//!   artifact's *content address* in a catalog directory. SHA-256 runs
+//!   on SHA-NI where the CPU has it and CRC32 is slicing-by-8.
+//! - **Payloads** ([`artifact`]): store schema 2 — little-endian binary
+//!   columns (fixed-width, string-blob, and CSR), decoded by one
+//!   canonical reader that refuses every byte the writer would not
+//!   have produced. Schema-1 (JSON) artifacts are refused with a typed
+//!   [`StoreError::SchemaMismatch`].
 //! - **Write protocol** ([`atomic`]): sibling tmp → fsync → atomic
 //!   rename → directory fsync. Every durable artifact the CLI writes
 //!   (mapfiles, states, traces, reports — not just world stores) goes
@@ -40,6 +46,7 @@
 pub mod artifact;
 pub mod atomic;
 pub mod catalog;
+mod columns;
 pub mod crc32;
 pub mod error;
 pub mod format;
@@ -47,8 +54,8 @@ pub mod inject;
 pub mod sha256;
 
 pub use artifact::{
-    decode_world, encode_world, load_artifact, verify_artifact, world_digest, write_artifact,
-    ArtifactInfo, LoadedWorld, STORE_SCHEMA_VERSION,
+    decode_payloads, decode_world, encode_world, encoded_digest, load_artifact, verify_artifact,
+    world_digest, write_artifact, ArtifactInfo, LoadedWorld, STORE_SCHEMA_VERSION,
 };
 pub use atomic::{staging_path, write_atomic};
 pub use catalog::{catalog_add, catalog_ls, catalog_path, CatalogEntry, ARTIFACT_EXT};

@@ -47,7 +47,9 @@ pub use lineage::{classify, render_diff_json, LineageStep, OrgLineage};
 use borges_core::diff::{diff as mapping_diff, MappingDiff};
 use borges_core::mapping::AsOrgMapping;
 use borges_core::pipeline::Borges;
-use borges_store::{load_artifact, sha256, verify_artifact, write_artifact, ARTIFACT_EXT};
+use borges_store::{
+    encode_world, encoded_digest, load_artifact, sha256, verify_artifact, StoreError, ARTIFACT_EXT,
+};
 use borges_types::Asn;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -164,13 +166,16 @@ impl Timeline {
 
         let worlds_dir = self.dir.join(WORLDS_DIR);
         std::fs::create_dir_all(&worlds_dir).map_err(|e| TimelineError::from_io(&worlds_dir, e))?;
-        // Digest is only known after encoding; write to the staging name
-        // first, then the content-addressed one (write_artifact is
-        // atomic per call, and the manifest flips last).
-        let digest = borges_store::world_digest(&world);
+        // Encode once: the footer carries the content address, and the
+        // same bytes land crash-safely under it (the manifest flips
+        // last).
+        let bytes = encode_world(&world);
+        let digest = encoded_digest(&bytes);
         let world_path = worlds_dir.join(format!("{digest}.{ARTIFACT_EXT}"));
-        let written = write_artifact(&world_path, &world)?;
-        debug_assert_eq!(written, digest);
+        borges_store::write_atomic(&world_path, &bytes)
+            .map_err(|e| StoreError::from_io(&world_path, e))?;
+        // Free the encoding before the parent world is loaded below.
+        drop(bytes);
 
         let parent = self.tip().cloned();
         let delta_digest = match &parent {
