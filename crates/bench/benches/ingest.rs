@@ -21,10 +21,11 @@
 //! hand-written note.
 
 use borges_bench::{medium_world, SEED};
-use borges_core::pipeline::{Borges, StreamOptions};
+use borges_core::pipeline::{Borges, BuildPlan, Engine, Source, StreamOptions};
 use borges_llm::SimLlm;
 use borges_resilience::TransportError;
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
+use borges_telemetry::Telemetry;
 use borges_types::Url;
 use borges_websim::{FetchResult, SimWebClient, WebClient};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -117,19 +118,23 @@ fn bench_ingest(c: &mut Criterion) {
             })
         });
         for workers in [4usize, 8] {
-            let opts = StreamOptions {
-                workers,
-                max_in_flight: workers,
-                ..StreamOptions::default()
+            let plan = BuildPlan {
+                engine: Engine::Streaming(StreamOptions {
+                    workers,
+                    max_in_flight: workers,
+                    ..StreamOptions::default()
+                }),
+                ..BuildPlan::default()
             };
             group.bench_function(&format!("streaming_workers_{workers}"), |b| {
                 b.iter(|| {
-                    black_box(Borges::run_streaming(
+                    black_box(Borges::build(
                         &world.whois,
                         &world.pdb,
-                        client(),
+                        Source::Crawl(&client()),
                         &model,
-                        &opts,
+                        &plan,
+                        &Telemetry::disabled(),
                     ))
                 })
             });

@@ -1,7 +1,7 @@
 //! Mapping materialization bench: the compiled dense replay
 //! ([`Borges::mapping`]) against the legacy per-call sparse rebuild, and
 //! the Table 6 16-combination sweep sequential vs
-//! [`Borges::mappings_parallel`].
+//! [`Borges::mappings`].
 //!
 //! The legacy comparator reconstructs what `mapping()` did before
 //! evidence compilation: re-intern the universe into a `BTreeMap`-backed
@@ -11,6 +11,7 @@
 use borges_bench::{medium_pipeline, medium_world};
 use borges_core::orgkeys::{oid_p_groups, oid_w_groups};
 use borges_core::{AsOrgMapping, Borges, FeatureSet, UnionFind};
+use borges_telemetry::Telemetry;
 use borges_types::Asn;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeSet;
@@ -103,7 +104,7 @@ fn bench_mapping(c: &mut Criterion) {
     });
     for threads in [2, 4, 8] {
         group.bench_function(&format!("sweep16_parallel_{threads}"), |b| {
-            b.iter(|| black_box(borges.mappings_parallel(&combinations, threads)))
+            b.iter(|| black_box(borges.mappings(&combinations, threads, &Telemetry::disabled())))
         });
     }
     group.finish();

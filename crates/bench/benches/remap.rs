@@ -1,4 +1,4 @@
-//! Incremental re-mapping bench: [`Borges::remap`] against a fresh
+//! Incremental re-mapping bench: [`Borges::remap_parallel`] against a fresh
 //! [`Borges::from_scrape`] of the same T+1 snapshot, swept across churn
 //! rates (0% / 1% / 10% / 100% of ASNs mutated).
 //!
@@ -109,13 +109,14 @@ fn bench_remap(c: &mut Criterion) {
         let scrape = crawl(&t1);
         let model = llm();
         let full = Borges::from_scrape(&t1.whois, &t1.pdb, &scrape, &model, Default::default());
-        let inc = Borges::remap(
+        let inc = Borges::remap_parallel(
             &t1.whois,
             &t1.pdb,
             &scrape,
             &model,
             Default::default(),
             state,
+            1,
         );
         eprintln!(
             "churn {percent}%: {} of {} ASNs mutated; LLM calls full={} incremental={}",
@@ -137,13 +138,14 @@ fn bench_remap(c: &mut Criterion) {
         });
         group.bench_function(&format!("incremental_churn_{percent}"), |b| {
             b.iter(|| {
-                black_box(Borges::remap(
+                black_box(Borges::remap_parallel(
                     &t1.whois,
                     &t1.pdb,
                     &scrape,
                     &model,
                     Default::default(),
                     state,
+                    1,
                 ))
             })
         });

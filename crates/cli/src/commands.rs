@@ -5,16 +5,16 @@ use borges_core::diff::diff;
 use borges_core::impact::OrgNamer;
 use borges_core::mapfile;
 use borges_core::orgfactor::organization_factor;
-use borges_core::pipeline::{Borges, FeatureSet, StreamOptions};
+use borges_core::pipeline::{Borges, BuildPlan, Engine, FeatureSet, Source, StreamOptions};
 use borges_core::{AsOrgMapping, SnapshotState};
-use borges_llm::{CachingModel, FlakyModel, SimLlm};
+use borges_llm::{CachingModel, ChatModel, FlakyModel, SimLlm};
 use borges_resilience::{EpisodePlan, RetryPolicy};
 use borges_serve::{Reloader, Server, ServerConfig};
 use borges_synthnet::io::{save, DatasetBundle};
 use borges_synthnet::{generate_to_dir, EvolutionEvent, GeneratorConfig, SyntheticInternet};
-use borges_telemetry::{CacheReport, Telemetry, Verbosity};
+use borges_telemetry::{CacheReport, Telemetry, TimelineReport, Verbosity};
 use borges_types::Asn;
-use borges_websim::{FlakyWebClient, SimWebClient};
+use borges_websim::{FlakyWebClient, SimWebClient, WebClient};
 use std::path::Path;
 
 const HELP: &str = "\
@@ -414,16 +414,12 @@ fn chaos_opts(opts: &Options) -> Result<Option<ChaosOpts>, CliError> {
     }))
 }
 
-/// The `map` command's streaming knobs, parsed from `--streaming` /
-/// `--max-in-flight` / `--per-host-rps`. `None` when `--streaming` was
+/// The `map` command's ingest engine, parsed from `--streaming` /
+/// `--max-in-flight` / `--per-host-rps`. Staged when `--streaming` was
 /// not given — in which case the companion knobs are usage errors, so a
 /// typo'd invocation fails before any I/O rather than silently running
 /// the staged pipeline.
-fn stream_opts(
-    opts: &Options,
-    chaos: &Option<ChaosOpts>,
-    threads: usize,
-) -> Result<Option<StreamOptions>, CliError> {
+fn engine_of(opts: &Options, threads: usize) -> Result<Engine, CliError> {
     let streaming = opts.boolean("streaming");
     let max_in_flight = opts.optional("max-in-flight")?;
     let per_host_rps = opts.optional("per-host-rps")?;
@@ -440,7 +436,7 @@ fn stream_opts(
                     .to_string(),
             ));
         }
-        return Ok(None);
+        return Ok(Engine::Staged);
     }
     let max_in_flight = match max_in_flight {
         Some(n) => match n.parse::<usize>() {
@@ -471,12 +467,10 @@ fn stream_opts(
         ),
         None => None,
     };
-    Ok(Some(StreamOptions {
+    Ok(Engine::Streaming(StreamOptions {
         workers: threads,
         max_in_flight,
         per_host_rps,
-        policy: chaos.as_ref().map(|c| c.policy),
-        threads,
         ..StreamOptions::default()
     }))
 }
@@ -529,10 +523,12 @@ fn map(opts: &Options) -> Result<String, CliError> {
     let seed = seed_of(opts)?;
     let chaos = chaos_opts(opts)?;
     let threads = parse_threads(opts)?;
-    let stream = stream_opts(opts, &chaos, threads)?;
-    let trace_out = opts.optional("trace-out")?;
-    let metrics_out = opts.optional("metrics-out")?;
-    let report_out = opts.optional("report-out")?;
+    let plan = BuildPlan {
+        threads,
+        retry: chaos.as_ref().map(|c| c.policy),
+        engine: engine_of(opts, threads)?,
+        ..BuildPlan::default()
+    };
 
     // One telemetry context per run, on a virtual clock: spans, metrics,
     // and narration all flow through it. Enabling it unconditionally is
@@ -547,104 +543,46 @@ fn map(opts: &Options) -> Result<String, CliError> {
         bundle.web.host_count()
     ));
     // The LLM sits behind a response cache so repeated prompts (and the
-    // ledger's cache row) are observable end to end.
+    // ledger's cache row) are observable end to end. Chaos injects
+    // seeded transient faults at both the crawl and the LLM boundary;
+    // the plan's retry policy absorbs them.
     let llm = CachingModel::new(SimLlm::new(seed));
-    let mut coverage = String::new();
-    let (mut borges, pipeline) = if let Some(stream) = &stream {
-        // The streaming engine overlaps crawl, NER, and compilation;
-        // per-host FIFO admission keeps it byte-identical to the staged
-        // pipelines — chaos composes (stream.policy carries it).
-        if let Some(chaos) = &chaos {
-            tel.verbose(format!(
-                "streaming pipeline: {} workers, {} in flight, fault rate {}, chaos seed {}",
-                stream.workers, stream.max_in_flight, chaos.fault_rate, chaos.chaos_seed
-            ));
-            let plan = EpisodePlan {
-                transient_rate: chaos.fault_rate,
-                permanent_rate: 0.0,
-                max_burst: 3,
-                seed: chaos.chaos_seed,
-            };
-            let web = FlakyWebClient::new(SimWebClient::browser(&bundle.web), plan);
-            let model = FlakyModel::new(
-                &llm,
-                EpisodePlan {
-                    seed: chaos.chaos_seed ^ 0x4c4c_4d00,
-                    ..plan
-                },
-            );
-            let borges =
-                Borges::run_streaming_traced(&bundle.whois, &bundle.pdb, web, &model, stream, &tel);
-            coverage = coverage_lines(&borges);
-            (borges, "streaming")
-        } else {
-            tel.verbose(format!(
-                "streaming pipeline: {} workers, {} in flight",
-                stream.workers, stream.max_in_flight
-            ));
-            let borges = Borges::run_streaming_traced(
-                &bundle.whois,
-                &bundle.pdb,
-                SimWebClient::browser(&bundle.web),
-                &llm,
-                stream,
-                &tel,
-            );
-            (borges, "streaming")
-        }
-    } else if let Some(chaos) = chaos {
-        // The resilient path is sequential: fault bursts are stateful per
-        // subject, so interleaving would perturb which attempt of a burst
-        // each worker observes.
-        tel.verbose(format!(
-            "resilient pipeline: fault rate {}, chaos seed {}",
-            chaos.fault_rate, chaos.chaos_seed
-        ));
-        let plan = EpisodePlan {
-            transient_rate: chaos.fault_rate,
-            permanent_rate: 0.0,
-            max_burst: 3,
-            seed: chaos.chaos_seed,
-        };
-        let web = FlakyWebClient::new(SimWebClient::browser(&bundle.web), plan);
-        let model = FlakyModel::new(
+    let faults = chaos.as_ref().map(|c| EpisodePlan {
+        transient_rate: c.fault_rate,
+        permanent_rate: 0.0,
+        max_burst: 3,
+        seed: c.chaos_seed,
+    });
+    let web = SimWebClient::browser(&bundle.web);
+    let client: Box<dyn WebClient> = match faults {
+        Some(plan) => Box::new(FlakyWebClient::new(web, plan)),
+        None => Box::new(web),
+    };
+    let flaky_llm = faults.map(|plan| {
+        FlakyModel::new(
             &llm,
             EpisodePlan {
-                seed: chaos.chaos_seed ^ 0x4c4c_4d00,
+                seed: plan.seed ^ 0x4c4c_4d00,
                 ..plan
             },
-        );
-        let borges = Borges::run_resilient_traced(
-            &bundle.whois,
-            &bundle.pdb,
-            web,
-            &model,
-            chaos.policy,
-            &tel,
-        );
-        coverage = coverage_lines(&borges);
-        (borges, "resilient")
-    } else if threads > 1 {
-        tel.verbose(format!("parallel pipeline over {threads} threads"));
-        let borges = Borges::run_parallel_traced(
-            &bundle.whois,
-            &bundle.pdb,
-            SimWebClient::browser(&bundle.web),
-            &llm,
-            threads,
-            &tel,
-        );
-        (borges, "parallel")
-    } else {
-        tel.verbose("sequential pipeline");
-        let borges = Borges::run_traced(
-            &bundle.whois,
-            &bundle.pdb,
-            SimWebClient::browser(&bundle.web),
-            &llm,
-            &tel,
-        );
-        (borges, "sequential")
+        )
+    });
+    let model: &dyn ChatModel = match &flaky_llm {
+        Some(flaky) => flaky,
+        None => &llm,
+    };
+    tel.verbose(format!("{} pipeline, --threads {threads}", plan.label()));
+    let mut borges = Borges::build(
+        &bundle.whois,
+        &bundle.pdb,
+        Source::Crawl(client.as_ref()),
+        model,
+        &plan,
+        &tel,
+    );
+    let coverage = match chaos {
+        Some(_) => coverage_lines(&borges),
+        None => String::new(),
     };
     tel.verbose(format!(
         "crawl: {} entries, {} reachable URLs; ner: {} LLM calls",
@@ -652,48 +590,78 @@ fn map(opts: &Options) -> Result<String, CliError> {
         borges.scrape_stats.reachable_urls,
         borges.ner.stats.llm_calls
     ));
+    let (mapping, timeline_row) =
+        publish(opts, &mut borges, &plan, features, &llm, &tel, "state-out")?;
+    Ok(format!(
+        "{}: {} ASNs in {} organizations (features: {})\n{}{}",
+        out,
+        mapping.asn_count(),
+        mapping.org_count(),
+        features.label(),
+        coverage,
+        timeline_row
+    ))
+}
+
+/// Everything `map` and `remap` do after the build: write the mapfile
+/// and, per flag, the snapshot state (`state_flag`), the timeline
+/// epoch, the store artifact, and the trace, metrics and run ledger.
+/// Every output flag is parsed before anything is written. Returns the
+/// mapping and the timeline summary line (empty without `--timeline`).
+fn publish(
+    opts: &Options,
+    borges: &mut Borges,
+    plan: &BuildPlan<'_>,
+    features: FeatureSet,
+    llm: &CachingModel<SimLlm>,
+    tel: &Telemetry,
+    state_flag: &str,
+) -> Result<(AsOrgMapping, String), CliError> {
+    let out = opts.required("out")?;
+    let state_dir = opts.optional(state_flag)?;
+    let timeline_dir = opts.optional("timeline")?;
+    let store_out = opts.optional("store-out")?;
+    let trace_out = opts.optional("trace-out")?;
+    let metrics_out = opts.optional("metrics-out")?;
+    let report_out = opts.optional("report-out")?;
+
     let mapping = borges
-        .mappings_parallel_traced(std::slice::from_ref(&features), threads, &tel)
+        .mappings(std::slice::from_ref(&features), plan.threads, tel)
         .pop()
         .expect("one feature set in, one mapping out");
     write_artifact_file(out, mapfile::serialize(&mapping))?;
-    if let Some(dir) = opts.optional("state-out")? {
-        write_state(&borges, dir)?;
+    if let Some(dir) = state_dir {
+        write_state(borges, dir)?;
         tel.debug(format!("snapshot state written to {dir}"));
     }
     // Timeline append runs before --store-out: it stamps the chain
     // epoch into the world, and the store artifact must carry it too.
-    let mut timeline_row = String::new();
-    let mut appended_link: Option<(u64, String)> = None;
-    if let Some(dir) = opts.optional("timeline")? {
-        let link = append_timeline(&mut borges, dir)?;
+    let mut timeline = None;
+    if let Some(dir) = timeline_dir {
+        let link = append_timeline(borges, dir)?;
         tel.debug(format!(
             "timeline epoch {} appended ({})",
             link.epoch, link.world_digest
         ));
-        timeline_row = format!(
-            "timeline: epoch {} appended ({})\n",
-            link.epoch, link.world_digest
-        );
-        appended_link = Some((link.epoch, link.world_digest));
+        timeline = Some(TimelineReport {
+            appended: true,
+            epoch: link.epoch,
+            world_digest: link.world_digest,
+        });
     }
-    if let Some(path) = opts.optional("store-out")? {
+    if let Some(path) = store_out {
         let digest = borges_store::write_artifact(Path::new(path), &borges.to_world())
             .map_err(CliError::failed)?;
         tel.debug(format!("world store artifact written to {path} ({digest})"));
     }
 
     if trace_out.is_some() || metrics_out.is_some() || report_out.is_some() {
-        let mut report = borges.run_report(&tel, pipeline, threads);
+        let mut report = borges.run_report(tel, plan.label(), plan.threads);
         report
             .caches
             .push(CacheReport::new("llm.response", llm.cache_stats()));
-        if let Some((epoch, world_digest)) = &appended_link {
-            report.timeline = borges_telemetry::TimelineReport {
-                appended: true,
-                epoch: *epoch,
-                world_digest: world_digest.clone(),
-            };
+        if let Some(timeline) = &timeline {
+            report.timeline = timeline.clone();
         }
         if let Some(path) = trace_out {
             write_artifact_file(path, tel.trace_jsonl_canonical())?;
@@ -708,15 +676,14 @@ fn map(opts: &Options) -> Result<String, CliError> {
             tel.debug(format!("run ledger written to {path}"));
         }
     }
-    Ok(format!(
-        "{}: {} ASNs in {} organizations (features: {})\n{}{}",
-        out,
-        mapping.asn_count(),
-        mapping.org_count(),
-        features.label(),
-        coverage,
-        timeline_row
-    ))
+    let timeline_row = match timeline {
+        Some(t) => format!(
+            "timeline: epoch {} appended ({})\n",
+            t.epoch, t.world_digest
+        ),
+        None => String::new(),
+    };
+    Ok((mapping, timeline_row))
 }
 
 /// File the snapshot state lives under inside a state directory.
@@ -769,9 +736,6 @@ fn remap(opts: &Options) -> Result<String, CliError> {
     let features = parse_features(opts.optional("features")?.unwrap_or("all"))?;
     let seed = seed_of(opts)?;
     let threads = parse_threads(opts)?;
-    let trace_out = opts.optional("trace-out")?;
-    let metrics_out = opts.optional("metrics-out")?;
-    let report_out = opts.optional("report-out")?;
 
     let tel = Telemetry::sim(verbosity_of(opts));
     let state = load_state(opts.required("base-state")?)?;
@@ -784,14 +748,17 @@ fn remap(opts: &Options) -> Result<String, CliError> {
     let llm = CachingModel::new(SimLlm::new(seed));
     let scraper = borges_websim::Scraper::new(SimWebClient::browser(&bundle.web));
     let report = scraper.crawl(bundle.pdb.nets().map(|n| (n.asn, n.website.as_str())));
-    let mut borges = Borges::remap_parallel_traced(
+    let plan = BuildPlan {
+        threads,
+        base: Some(&state),
+        ..BuildPlan::default()
+    };
+    let mut borges = Borges::build(
         &bundle.whois,
         &bundle.pdb,
-        &report,
+        Source::Scraped(&report),
         &llm,
-        borges_core::ner::NerConfig::default(),
-        &state,
-        threads,
+        &plan,
         &tel,
     );
     let d = borges.delta.as_ref().expect("remap records delta stats");
@@ -806,63 +773,12 @@ fn remap(opts: &Options) -> Result<String, CliError> {
         .iter()
         .map(|(_, s)| (s.segments_retained, s.edges_retained))
         .fold((0, 0), |(a, b), (x, y)| (a + x, b + y));
-    // Copied out: the timeline append below needs the pipeline mutably.
+    // Copied out: `publish` needs the pipeline mutably.
     let dirty_records = d.records.dirty();
     let llm_calls_saved = d.llm_calls_saved();
 
-    let mapping = borges
-        .mappings_parallel_traced(std::slice::from_ref(&features), threads, &tel)
-        .pop()
-        .expect("one feature set in, one mapping out");
-    write_artifact_file(out, mapfile::serialize(&mapping))?;
-    if let Some(dir) = opts.optional("out-state")? {
-        write_state(&borges, dir)?;
-        tel.debug(format!("updated snapshot state written to {dir}"));
-    }
-    // As in `map`: the timeline append stamps the chain epoch into the
-    // world before the store artifact is written.
-    let mut timeline_row = String::new();
-    let mut appended_link: Option<(u64, String)> = None;
-    if let Some(dir) = opts.optional("timeline")? {
-        let link = append_timeline(&mut borges, dir)?;
-        tel.debug(format!(
-            "timeline epoch {} appended ({})",
-            link.epoch, link.world_digest
-        ));
-        timeline_row = format!(
-            "timeline: epoch {} appended ({})\n",
-            link.epoch, link.world_digest
-        );
-        appended_link = Some((link.epoch, link.world_digest));
-    }
-    if let Some(path) = opts.optional("store-out")? {
-        let digest = borges_store::write_artifact(Path::new(path), &borges.to_world())
-            .map_err(CliError::failed)?;
-        tel.debug(format!("world store artifact written to {path} ({digest})"));
-    }
-
-    if trace_out.is_some() || metrics_out.is_some() || report_out.is_some() {
-        let mut ledger = borges.run_report(&tel, "remap", threads);
-        ledger
-            .caches
-            .push(CacheReport::new("llm.response", llm.cache_stats()));
-        if let Some((epoch, world_digest)) = &appended_link {
-            ledger.timeline = borges_telemetry::TimelineReport {
-                appended: true,
-                epoch: *epoch,
-                world_digest: world_digest.clone(),
-            };
-        }
-        if let Some(path) = trace_out {
-            write_artifact_file(path, tel.trace_jsonl_canonical())?;
-        }
-        if let Some(path) = metrics_out {
-            write_artifact_file(path, ledger.metrics.to_prometheus())?;
-        }
-        if let Some(path) = report_out {
-            write_artifact_file(path, ledger.to_json_pretty())?;
-        }
-    }
+    let (mapping, timeline_row) =
+        publish(opts, &mut borges, &plan, features, &llm, &tel, "out-state")?;
     Ok(format!(
         "{}: {} ASNs in {} organizations (features: {})\n\
          delta: {} dirty records; {} segments ({} edges) reused; {} LLM calls saved\n{}",
@@ -991,22 +907,18 @@ fn serve(opts: &Options) -> Result<String, CliError> {
         let bundle = DatasetBundle::load(Path::new(&data)).map_err(CliError::failed)?;
         let llm = CachingModel::new(SimLlm::new(seed));
         narrator.verbose(format!("compiling pipeline over {threads} threads"));
-        Ok(if threads > 1 {
-            Borges::run_parallel(
-                &bundle.whois,
-                &bundle.pdb,
-                SimWebClient::browser(&bundle.web),
-                &llm,
-                threads,
-            )
-        } else {
-            Borges::run(
-                &bundle.whois,
-                &bundle.pdb,
-                SimWebClient::browser(&bundle.web),
-                &llm,
-            )
-        })
+        let plan = BuildPlan {
+            threads,
+            ..BuildPlan::default()
+        };
+        Ok(Borges::build(
+            &bundle.whois,
+            &bundle.pdb,
+            Source::Crawl(&SimWebClient::browser(&bundle.web)),
+            &llm,
+            &plan,
+            &Telemetry::disabled(),
+        ))
     };
 
     // A valid `--store` artifact replaces the compile wholesale: the
@@ -1069,13 +981,18 @@ fn serve(opts: &Options) -> Result<String, CliError> {
             let llm = CachingModel::new(SimLlm::new(seed));
             let scraper = borges_websim::Scraper::new(SimWebClient::browser(&bundle.web));
             let report = scraper.crawl(bundle.pdb.nets().map(|n| (n.asn, n.website.as_str())));
-            Ok(Borges::remap(
+            let state = current.snapshot_state();
+            let plan = BuildPlan {
+                base: Some(&state),
+                ..BuildPlan::default()
+            };
+            Ok(Borges::build(
                 &bundle.whois,
                 &bundle.pdb,
-                &report,
+                Source::Scraped(&report),
                 &llm,
-                borges_core::ner::NerConfig::default(),
-                &current.snapshot_state(),
+                &plan,
+                &Telemetry::disabled(),
             ))
         })
     };
@@ -1138,7 +1055,7 @@ fn serve(opts: &Options) -> Result<String, CliError> {
         slow_ms,
         ..ServerConfig::default()
     };
-    let server = Server::start_with_timeline(config, borges, Some(reloader), hooks, timeline_state)
+    let server = Server::start_with(config, borges, Some(reloader), hooks, timeline_state)
         .map_err(CliError::failed)?;
     if let (Some(dir), Some((links, tip))) = (&timeline_dir, &timeline_summary) {
         server.record_event(

@@ -390,7 +390,7 @@ pub fn merge_feature<K: Ord + Clone>(
     (segments, delta)
 }
 
-/// Everything a [`Borges::remap`](crate::pipeline::Borges::remap) run
+/// Everything an incremental [`Borges::build`](crate::pipeline::Borges::build)
 /// knows about the work it avoided — record churn, interner evolution,
 /// per-feature segment reuse, and LLM reply memoization.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -17,18 +17,18 @@
 //! only the selected feature edges — no tree-map interning and no
 //! membership checks on the hot path, which makes materialization both
 //! cheap and embarrassingly parallel across feature combinations
-//! ([`Borges::mappings_parallel`]).
+//! ([`Borges::mappings`]).
 
 use crate::delta::{
     self, DeltaStats, EdgeSegment, SegmentDelta, SnapshotDelta, SnapshotState, SourceDelta,
     SourceFingerprints,
 };
 use crate::mapping::AsOrgMapping;
-use crate::ner::{extract, extract_with_memo, NerConfig, NerResult};
+use crate::ner::{extract_with_memo, NerConfig, NerMemoEntry, NerResult};
 use crate::orgkeys;
 use crate::unionfind::SegmentFeed;
 use crate::unionfind::{DenseUnionFind, ShardReport, UnionFind};
-use crate::web::favicon::{favicon_inference, favicon_inference_memo, FaviconInference};
+use crate::web::favicon::{favicon_inference_memo, FaviconInference};
 use crate::web::rr::{rr_inference, RrInference};
 use crate::world::{
     CompiledWorld, FaviconGroupRecord, NerEntryRecord, RrGroupRecord, ServingExtras,
@@ -51,6 +51,7 @@ use borges_websim::{
     WebClient,
 };
 use borges_whois::WhoisRegistry;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -250,9 +251,7 @@ impl CompiledEvidence {
     /// `threads > 1` the OID_W base closure is replayed sharded (see
     /// [`CompiledEvidence::build`]); the result is byte-identical either
     /// way.
-    #[allow(clippy::too_many_arguments)]
     fn compile(
-        universe: BTreeSet<Asn>,
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
         ner: &NerResult,
@@ -261,7 +260,7 @@ impl CompiledEvidence {
         threads: usize,
         tel: &Telemetry,
     ) -> Self {
-        let interner = AsnInterner::new(universe);
+        let interner = AsnInterner::new(universe(whois, pdb));
         Self::build(interner, None, whois, pdb, ner, rr, favicon, threads, tel).0
     }
 
@@ -274,7 +273,6 @@ impl CompiledEvidence {
     #[allow(clippy::too_many_arguments)]
     fn apply_delta(
         state: &SnapshotState,
-        universe: &BTreeSet<Asn>,
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
         ner: &NerResult,
@@ -283,6 +281,7 @@ impl CompiledEvidence {
         threads: usize,
         tel: &Telemetry,
     ) -> (Self, DeltaStats) {
+        let universe = universe(whois, pdb);
         let mut interner = AsnInterner::from_slots(state.slot_pairs());
         let mut stats = DeltaStats::default();
         for asn in interner.live_asns() {
@@ -294,7 +293,7 @@ impl CompiledEvidence {
             }
         }
         // Ascending order keeps appended slot ids deterministic.
-        for &asn in universe {
+        for &asn in &universe {
             if !interner.contains(asn) {
                 interner.append(asn);
                 stats.asns_added += 1;
@@ -428,6 +427,14 @@ impl CompiledEvidence {
     }
 }
 
+/// The mapping universe: every delegated network. PeeringDB networks
+/// missing from WHOIS (rare, but real dumps have them) belong to it too.
+fn universe(whois: &WhoisRegistry, pdb: &PdbSnapshot) -> BTreeSet<Asn> {
+    let mut universe: BTreeSet<Asn> = whois.all_asns().collect();
+    universe.extend(pdb.nets().map(|n| n.asn));
+    universe
+}
+
 /// The crawl-independent compilation work a streaming run performs
 /// while fetches are still in flight: the fixed universe, the interner,
 /// both registry org-key groupings, the OID_W/OID_P edge segments, and
@@ -448,11 +455,9 @@ impl StreamPrecompiled {
     /// the I/O. `threads` sizes the eventual base replay's shard count,
     /// matching what the staged compile would use.
     fn build(whois: &WhoisRegistry, pdb: &PdbSnapshot, threads: usize) -> Self {
-        let mut universe: BTreeSet<Asn> = whois.all_asns().collect();
-        universe.extend(pdb.nets().map(|n| n.asn));
         let oid_w_groups = orgkeys::oid_w_groups(whois);
         let oid_p_groups = orgkeys::oid_p_groups(pdb);
-        let interner = AsnInterner::new(universe);
+        let interner = AsnInterner::new(universe(whois, pdb));
         let (oid_w, _) = delta::merge_feature(
             &interner,
             &BTreeMap::new(),
@@ -572,10 +577,10 @@ pub struct Borges {
     pub web_cache: CacheStats,
     /// Per-record fingerprints of the inputs this run consumed, captured
     /// so [`Borges::snapshot_state`] can persist them for a later
-    /// [`Borges::remap`] to diff against.
+    /// incremental [`Borges::build`] to diff against.
     fingerprints: SourceFingerprints,
-    /// Delta accounting when this pipeline was built incrementally by
-    /// [`Borges::remap`]; `None` on full runs.
+    /// Delta accounting when this pipeline was built incrementally
+    /// (with [`BuildPlan::base`] set); `None` on full runs.
     pub delta: Option<DeltaStats>,
     /// Timeline epoch this world was published at; `0` until a timeline
     /// append stamps it (see [`Borges::set_world_epoch`]). Exported
@@ -667,7 +672,9 @@ fn annotate_favicon(span: &Span, favicon: &FaviconInference) {
     span.field("llm_calls", favicon.stats.llm_calls);
 }
 
-/// Knobs for the streaming ingest engine ([`Borges::run_streaming`]).
+/// Knobs for the streaming ingest engine ([`Engine::Streaming`]). Thread
+/// budget and retry policy are [`BuildPlan`] fields shared with the
+/// staged engine.
 #[derive(Clone)]
 pub struct StreamOptions {
     /// Worker threads in the fetch pool.
@@ -679,15 +686,6 @@ pub struct StreamOptions {
     pub per_host_rps: Option<f64>,
     /// Instantaneous per-host burst allowance for the token buckets.
     pub burst: u32,
-    /// Retry policy for the web and LLM boundaries. `None` runs the
-    /// bare stack (the streaming twin of [`Borges::run_parallel`]);
-    /// `Some` runs the resilient stack (the streaming twin of
-    /// [`Borges::run_resilient`]), with per-host breakers at
-    /// [`BreakerConfig::standard`].
-    pub policy: Option<RetryPolicy>,
-    /// Compute parallelism: NER fan-out (bare stack only) and the
-    /// compile-time base replay's shard count.
-    pub threads: usize,
     /// The pacing clock token buckets read and throttled workers sleep
     /// on. Virtual ([`SimClock`]) by default, so throttled runs are
     /// deterministic and never actually wait; a production deployment
@@ -703,8 +701,6 @@ impl Default for StreamOptions {
             max_in_flight: 8,
             per_host_rps: None,
             burst: 1,
-            policy: None,
-            threads: 1,
             pacing: Arc::new(SimClock::new()),
         }
     }
@@ -717,12 +713,79 @@ impl std::fmt::Debug for StreamOptions {
             .field("max_in_flight", &self.max_in_flight)
             .field("per_host_rps", &self.per_host_rps)
             .field("burst", &self.burst)
-            .field("policy", &self.policy)
-            .field("threads", &self.threads)
             .finish_non_exhaustive()
     }
 }
 
+/// How a [`Borges::build`] schedules its stages. Both engines run the
+/// same stage sequence and emit byte-identical canonical outputs.
+#[derive(Debug, Clone)]
+pub enum Engine {
+    /// Each stage runs to completion before the next one starts.
+    Staged,
+    /// The crawl overlaps NER extraction and the registry-side evidence
+    /// compile (DESIGN.md §14).
+    Streaming(StreamOptions),
+}
+
+/// Everything a [`Borges::build`] can vary besides its inputs.
+#[derive(Debug, Clone)]
+pub struct BuildPlan<'a> {
+    /// Compute parallelism: crawl and NER fan-out on a bare full build,
+    /// and the shard count of the compile-time OID_W base replay. A
+    /// staged build with `retry` set runs on one thread regardless.
+    pub threads: usize,
+    /// NER input/output filters (§4.2).
+    pub ner: NerConfig,
+    /// Retry policy for the web and LLM boundaries. `None` runs the bare
+    /// stack; `Some` wraps the web client and each LLM stage in the
+    /// resilience stack, with per-host breakers at
+    /// [`BreakerConfig::standard`].
+    pub retry: Option<RetryPolicy>,
+    /// The ingest engine.
+    pub engine: Engine,
+    /// Snapshot-T state to re-map against. `Some` makes the build
+    /// incremental: LLM stages replay memoized replies for unchanged
+    /// records and compilation reuses every untouched edge segment.
+    pub base: Option<&'a SnapshotState>,
+}
+
+impl Default for BuildPlan<'_> {
+    fn default() -> Self {
+        BuildPlan {
+            threads: 1,
+            ner: NerConfig::default(),
+            retry: None,
+            engine: Engine::Staged,
+            base: None,
+        }
+    }
+}
+
+impl BuildPlan<'_> {
+    /// How a build under this plan executes, as the run ledger's
+    /// `pipeline` label: `remap`, `streaming`, `resilient`, `parallel`
+    /// or `sequential`.
+    pub fn label(&self) -> &'static str {
+        match (&self.engine, self.base, self.retry) {
+            (_, Some(_), _) => "remap",
+            (Engine::Streaming(_), ..) => "streaming",
+            (_, _, Some(_)) => "resilient",
+            _ if self.threads > 1 => "parallel",
+            _ => "sequential",
+        }
+    }
+}
+
+/// Where a build's web observation comes from.
+#[derive(Clone, Copy)]
+pub enum Source<'a> {
+    /// Crawl every PeeringDB website through this client.
+    Crawl(&'a dyn WebClient),
+    /// A crawl computed earlier. The build has no `crawl` stage and its
+    /// redirect-cache ledger row reads zero.
+    Scraped(&'a ScrapeReport),
+}
 /// One crawl entry prepared for the streaming scheduler: the parse and
 /// host-key work is done once up front so the admission gate and the
 /// per-key FIFO discipline never re-parse under the scheduler lock.
@@ -802,58 +865,379 @@ fn record_ingest_ledger(tel: &Telemetry, ledger: &StreamLedger) {
     });
 }
 
+/// A retrying wrapper around one LLM stage's model (NER and the favicon
+/// classifier get separate retry/breaker state, so a meltdown in one
+/// stage cannot poison the other's budget accounting).
+fn retrying<'m>(
+    model: &'m dyn ChatModel,
+    policy: RetryPolicy,
+    clock: Arc<dyn Clock>,
+    tel: &Telemetry,
+    boundary: &str,
+) -> RetryingModel<&'m dyn ChatModel> {
+    RetryingModel::new(model, policy)
+        .with_breaker(BreakerConfig::standard())
+        .with_clock(clock)
+        .with_telemetry(tel.clone(), boundary)
+}
+
+/// The NER pass of every build. It fans out over `threads` workers only
+/// on a bare full build; a retried or memoized pass runs sequentially,
+/// spending its retry backoff on `clock`.
+fn extract_ner(
+    pdb: &PdbSnapshot,
+    model: &dyn ChatModel,
+    plan: &BuildPlan<'_>,
+    threads: usize,
+    memo: &BTreeMap<Asn, NerMemoEntry>,
+    clock: Arc<dyn Clock>,
+    tel: &Telemetry,
+) -> NerResult {
+    match plan.retry {
+        Some(policy) => {
+            let ner_model = retrying(model, policy, clock, tel, "ner");
+            let mut ner = extract_with_memo(pdb, &ner_model, plan.ner, memo);
+            ner.stats.resilience = ner_model.stats();
+            ner
+        }
+        None if threads > 1 && plan.base.is_none() => {
+            crate::ner::extract_parallel(pdb, model, plan.ner, threads)
+        }
+        None => extract_with_memo(pdb, model, plan.ner, memo),
+    }
+}
+
+/// The staged crawl: sequential, or fanned out over `threads` workers.
+/// With a retry policy the client sits behind a [`RetryingWebClient`]
+/// on the telemetry clock, so virtual backoff lands in the stage span.
+fn crawl_staged(
+    pdb: &PdbSnapshot,
+    client: &dyn WebClient,
+    retry: Option<RetryPolicy>,
+    threads: usize,
+    tel: &Telemetry,
+) -> (ScrapeReport, CacheStats) {
+    let retrying = retry.map(|policy| {
+        RetryingWebClient::new(client, policy)
+            .with_breakers(BreakerConfig::standard())
+            .with_clock(tel.clock())
+            .with_telemetry(tel.clone())
+    });
+    let scraper = Scraper::new(match &retrying {
+        Some(web) => web as &dyn WebClient,
+        None => client,
+    });
+    let entries = pdb.nets().map(|n| (n.asn, n.website.as_str()));
+    let mut report = if threads > 1 {
+        scraper.crawl_parallel(entries.collect(), threads)
+    } else {
+        scraper.crawl(entries)
+    };
+    if let Some(web) = &retrying {
+        report.stats.resilience = web.stats();
+    }
+    (report, scraper.cache_stats())
+}
+
+/// What a streaming crawl leaves for the phase-B replay.
+struct StreamedCrawl {
+    report: ScrapeReport,
+    web_cache: CacheStats,
+    ledger: StreamLedger,
+    /// Virtual retry backoff the fetches spent on private clocks.
+    backoff_ms: u64,
+}
+
+/// The streaming crawl: a bounded-concurrency scheduler
+/// ([`borges_parallel::stream_indexed`]) drives `opts.workers` fetch
+/// workers under a global `opts.max_in_flight` cap and optional per-host
+/// token-bucket rate limits, serializing fetches per host in canonical
+/// input order. Completions flow through a key-canonical reassembly
+/// buffer into an incremental [`ReportAssembler`].
+fn crawl_streaming(
+    pdb: &PdbSnapshot,
+    client: &dyn WebClient,
+    opts: &StreamOptions,
+    retry: Option<RetryPolicy>,
+    tel: &Telemetry,
+) -> StreamedCrawl {
+    let fetcher = match retry {
+        Some(policy) => StreamingWebClient::resilient(client, policy)
+            .with_breakers(BreakerConfig::standard())
+            .with_telemetry(tel.clone()),
+        None => StreamingWebClient::bare(client),
+    };
+    let scraper = Scraper::new(&fetcher);
+    let entries = stream_entries(pdb);
+    let limiter = opts
+        .per_host_rps
+        .map(|rps| RateLimiterRegistry::new(rps, opts.burst));
+    let config = StreamConfig {
+        workers: opts.workers,
+        max_in_flight: opts.max_in_flight,
+    };
+    let mut assembler = ReportAssembler::new();
+    let ledger = stream_indexed(
+        &entries,
+        &config,
+        |e| e.key,
+        |_key, e| match (&limiter, &e.host) {
+            (Some(registry), Some(host)) => {
+                registry.limiter(host).try_acquire(opts.pacing.now_ms())
+            }
+            _ => Ok(()),
+        },
+        |ms| opts.pacing.sleep_ms(ms),
+        |_, e| scraper.resolve(e.raw),
+        |index, resolution| assembler.push(entries[index].asn, resolution),
+    );
+    let mut report = assembler.finish();
+    if retry.is_some() {
+        report.stats.resilience = fetcher.stats();
+    }
+    StreamedCrawl {
+        report,
+        web_cache: scraper.cache_stats(),
+        ledger,
+        backoff_ms: fetcher.backoff_total_ms(),
+    }
+}
+
 impl Borges {
-    /// Runs every stage: crawls the web through `web_client`, extracts
-    /// siblings with `model`, and caches all merge evidence.
+    /// Runs the pipeline once: crawl → NER → R&R → favicon → compile (or,
+    /// with [`BuildPlan::base`], the incremental `apply`), then stamps
+    /// every stage funnel into `tel`. `source` either crawls through a
+    /// client or hands over a finished [`ScrapeReport`].
+    ///
+    /// Every stage records a child span of one root span (`run`, or
+    /// `remap` for an incremental build), a stage-duration histogram and
+    /// its funnel counters. Span fields and metrics come from merged,
+    /// order-canonical stats, so under a
+    /// [`SimClock`](borges_resilience::SimClock) the canonical journal
+    /// and the metrics snapshot do not depend on the plan's thread count
+    /// or engine (DESIGN.md §8, pinned by `tests/telemetry.rs`). Worker
+    /// scheduling shows up only in runtime spans and [`WorkerTiming`]
+    /// ledger rows.
+    ///
+    /// Determinism contract: the mapping, canonical trace and metrics
+    /// snapshot are **byte-identical** across thread counts and both
+    /// engines. With [`BuildPlan::retry`] set, a fault-free world, or one
+    /// whose faults are recoverable within budget, yields the mapping of
+    /// the bare stack — retries erase recoverable faults. Unrecoverable
+    /// faults still complete the run: abandoned work is counted in each
+    /// stage's stats and [`Borges::coverage`]. An incremental build is
+    /// byte-identical to a full build over the same inputs, because both
+    /// run the same derivation code and the delta path only skips work
+    /// proven unchanged.
+    ///
+    /// The streaming engine runs in two phases. **Phase A** overlaps the
+    /// crawl scheduler with one compute thread doing the registry-side
+    /// compile ([`StreamPrecompiled`]) and NER; it opens no spans and
+    /// leaves the telemetry clock alone, spending retry backoff on
+    /// private clocks. **Phase B** opens the root span at the same
+    /// virtual instant as a staged build and replays the `crawl` and
+    /// `ner` stages, sleeping the recorded backoff inside each, so
+    /// timestamps land where the staged build puts them; the remaining
+    /// stages run live.
+    pub fn build(
+        whois: &WhoisRegistry,
+        pdb: &PdbSnapshot,
+        source: Source<'_>,
+        model: &dyn ChatModel,
+        plan: &BuildPlan<'_>,
+        tel: &Telemetry,
+    ) -> Self {
+        // A staged resilient build is sequential end to end: fault
+        // bursts are stateful per subject, so interleaving would perturb
+        // which attempt of a burst each worker observes.
+        let threads = match (&plan.engine, plan.retry) {
+            (Engine::Staged, Some(_)) => 1,
+            _ => plan.threads,
+        };
+        let ner_memo = plan
+            .base
+            .map(SnapshotState::ner_memo_map)
+            .unwrap_or_default();
+        let favicon_memo = plan
+            .base
+            .map(SnapshotState::favicon_memo_map)
+            .unwrap_or_default();
+
+        // Phase A of a streaming build: everything that overlaps the
+        // crawl, with the NER retry backoff spent on a private clock.
+        let (streamed_crawl, mut pre, streamed_ner) = match &plan.engine {
+            Engine::Staged => (None, None, None),
+            Engine::Streaming(opts) => std::thread::scope(|scope| {
+                let crawling = matches!(source, Source::Crawl(_));
+                let (ner_memo, threads) = (&ner_memo, threads);
+                let compute = scope.spawn(move || {
+                    let pre = crawling.then(|| StreamPrecompiled::build(whois, pdb, threads));
+                    let clock = Arc::new(SimClock::new());
+                    let ner = extract_ner(pdb, model, plan, threads, ner_memo, clock.clone(), tel);
+                    (pre, ner, clock.now_ms())
+                });
+                let (crawl, main_pre) = match source {
+                    Source::Crawl(client) => (
+                        Some(crawl_streaming(pdb, client, opts, plan.retry, tel)),
+                        None,
+                    ),
+                    Source::Scraped(_) => {
+                        (None, Some(StreamPrecompiled::build(whois, pdb, threads)))
+                    }
+                };
+                let (compute_pre, ner, ner_backoff_ms) = match compute.join() {
+                    Ok(out) => out,
+                    Err(panic) => std::panic::resume_unwind(panic),
+                };
+                (crawl, main_pre.or(compute_pre), Some((ner, ner_backoff_ms)))
+            }),
+        };
+
+        let root = tel.span(if plan.base.is_some() { "remap" } else { "run" });
+        let (report, web_cache) = match source {
+            Source::Scraped(report) => (Cow::Borrowed(report), CacheStats::default()),
+            Source::Crawl(client) => stage(tel, &root, "crawl", |span| {
+                let (report, web_cache) = match streamed_crawl {
+                    Some(c) => {
+                        tel.clock().sleep_ms(c.backoff_ms);
+                        record_ingest_ledger(tel, &c.ledger);
+                        (c.report, c.web_cache)
+                    }
+                    None => crawl_staged(pdb, client, plan.retry, threads, tel),
+                };
+                annotate_crawl(span, &report.stats);
+                (Cow::Owned(report), web_cache)
+            }),
+        };
+        let report: &ScrapeReport = &report;
+
+        let ner = stage(tel, &root, "ner", |span| {
+            let ner = match streamed_ner {
+                Some((ner, backoff_ms)) => {
+                    tel.clock().sleep_ms(backoff_ms);
+                    ner
+                }
+                None => extract_ner(pdb, model, plan, threads, &ner_memo, tel.clock(), tel),
+            };
+            annotate_ner(span, &ner);
+            if plan.base.is_some() {
+                span.field("memo_hits", ner.memo_hits);
+            }
+            ner
+        });
+        let rr = stage(tel, &root, "rr", |span| {
+            let rr = rr_inference(report);
+            annotate_rr(span, &rr);
+            rr
+        });
+        let favicon = stage(tel, &root, "favicon", |span| {
+            let favicon = match plan.retry {
+                Some(policy) => {
+                    let favicon_model = retrying(model, policy, tel.clock(), tel, "favicon");
+                    let mut favicon =
+                        favicon_inference_memo(report, &favicon_model, true, &favicon_memo);
+                    favicon.stats.resilience = favicon_model.stats();
+                    favicon
+                }
+                None => favicon_inference_memo(report, model, true, &favicon_memo),
+            };
+            annotate_favicon(span, &favicon);
+            if plan.base.is_some() {
+                span.field("memo_hits", favicon.memo_hits);
+            }
+            favicon
+        });
+
+        let (oid_w_groups, oid_p_groups) = match &mut pre {
+            Some(pre) => (
+                std::mem::take(&mut pre.oid_w_groups),
+                std::mem::take(&mut pre.oid_p_groups),
+            ),
+            None => (orgkeys::oid_w_groups(whois), orgkeys::oid_p_groups(pdb)),
+        };
+        let fingerprints = SourceFingerprints::capture(whois, pdb, report);
+        let (compiled, delta) = match plan.base {
+            Some(state) => stage(tel, &root, "apply", |span| {
+                let (compiled, mut d) = CompiledEvidence::apply_delta(
+                    state, whois, pdb, &ner, &rr, &favicon, threads, tel,
+                );
+                d.records = SnapshotDelta::compute(&state.fingerprints(), &fingerprints);
+                span.field("asns", compiled.interner.live_len());
+                span.field("records_dirty", d.records.dirty());
+                span.field(
+                    "segments_retained",
+                    d.edge_rows()
+                        .iter()
+                        .map(|(_, s)| s.segments_retained)
+                        .sum::<usize>(),
+                );
+                d.ner_reused = ner.memo_hits;
+                d.ner_recomputed = ner.stats.llm_calls;
+                d.favicon_reused = favicon.memo_hits;
+                d.favicon_recomputed = favicon.stats.llm_calls;
+                (compiled, Some(d))
+            }),
+            None => stage(tel, &root, "compile", |span| {
+                let compiled = match pre {
+                    Some(pre) => CompiledEvidence::compile_from_stream(
+                        pre.interner,
+                        pre.oid_w,
+                        pre.oid_p,
+                        pre.feed,
+                        &ner,
+                        &rr,
+                        &favicon,
+                        threads,
+                        tel,
+                    ),
+                    None => {
+                        CompiledEvidence::compile(whois, pdb, &ner, &rr, &favicon, threads, tel)
+                    }
+                };
+                span.field("asns", compiled.interner.live_len());
+                span.field("ner_links", segment_edge_count(&compiled.na));
+                (compiled, None)
+            }),
+        };
+
+        let borges = Borges {
+            compiled,
+            oid_w_groups,
+            oid_p_groups,
+            ner,
+            rr,
+            favicon,
+            scrape_stats: report.stats.clone(),
+            web_cache,
+            fingerprints,
+            delta,
+            world_epoch: 0,
+        };
+        borges.stamp_metrics(tel);
+        borges.stamp_delta_metrics(tel);
+        borges
+    }
+
+    /// [`Borges::build`] with the default plan: a sequential, untraced
+    /// crawl through `web_client`.
     pub fn run<C: WebClient>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
         web_client: C,
         model: &dyn ChatModel,
     ) -> Self {
-        Self::run_traced(whois, pdb, web_client, model, &Telemetry::disabled())
-    }
-
-    /// Like [`Borges::run`], recording a span per stage, stage-duration
-    /// histograms, and the stage funnels (as counters) into `tel`.
-    ///
-    /// Everything traced here is derived from merged, order-canonical
-    /// stats, so under a [`SimClock`](borges_resilience::SimClock) the
-    /// canonical journal and the metrics snapshot are identical to what
-    /// [`Borges::run_parallel_traced`] emits — the determinism contract
-    /// of DESIGN.md §8, pinned by `tests/telemetry.rs`.
-    pub fn run_traced<C: WebClient>(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        web_client: C,
-        model: &dyn ChatModel,
-        tel: &Telemetry,
-    ) -> Self {
-        let root = tel.span("run");
-        let scraper = Scraper::new(web_client);
-        let report = stage(tel, &root, "crawl", |span| {
-            let report = scraper.crawl(pdb.nets().map(|n| (n.asn, n.website.as_str())));
-            annotate_crawl(span, &report.stats);
-            report
-        });
-        let web_cache = scraper.cache_stats();
-        Self::extract_and_assemble(
+        Self::build(
             whois,
             pdb,
-            &report,
+            Source::Crawl(&web_client),
             model,
-            NerConfig::default(),
-            web_cache,
-            1,
-            tel,
-            &root,
+            &BuildPlan::default(),
+            &Telemetry::disabled(),
         )
     }
 
-    /// Like [`Borges::run`], fanning the crawl and the LLM calls out over
-    /// `threads` worker threads. Produces results identical to the
-    /// sequential run (entries are independent; all aggregation is
-    /// key-canonical) — only wall-clock time changes.
+    /// [`Borges::build`] untraced, with the crawl and the LLM calls
+    /// fanned out over `threads` workers.
     pub fn run_parallel<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -861,149 +1245,23 @@ impl Borges {
         model: &(dyn ChatModel + Sync),
         threads: usize,
     ) -> Self {
-        Self::run_parallel_traced(
-            whois,
-            pdb,
-            web_client,
-            model,
+        let plan = BuildPlan {
             threads,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// Like [`Borges::run_parallel`], recording into `tel`. Emits the
-    /// same logical spans, span fields, and metrics as
-    /// [`Borges::run_traced`] — worker scheduling shows up only in
-    /// runtime spans and [`WorkerTiming`] rows, which canonicalization
-    /// and the metrics snapshot exclude by design.
-    pub fn run_parallel_traced<C: WebClient + Sync>(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        web_client: C,
-        model: &(dyn ChatModel + Sync),
-        threads: usize,
-        tel: &Telemetry,
-    ) -> Self {
-        let root = tel.span("run");
-        let scraper = Scraper::new(web_client);
-        let report = stage(tel, &root, "crawl", |span| {
-            let entries: Vec<(Asn, &str)> =
-                pdb.nets().map(|n| (n.asn, n.website.as_str())).collect();
-            let report = scraper.crawl_parallel(entries, threads);
-            annotate_crawl(span, &report.stats);
-            report
-        });
-        let web_cache = scraper.cache_stats();
-        let ner = stage(tel, &root, "ner", |span| {
-            let ner = crate::ner::extract_parallel(pdb, model, NerConfig::default(), threads);
-            annotate_ner(span, &ner);
-            ner
-        });
-        Self::assemble(
-            whois, pdb, &report, ner, model, web_cache, threads, tel, &root,
-        )
-    }
-
-    /// Like [`Borges::run`], with every boundary wrapped in the
-    /// resilience stack: the web client behind a
-    /// [`RetryingWebClient`] with per-host circuit breakers, and the chat
-    /// model behind one [`RetryingModel`] per LLM stage (NER and the
-    /// favicon classifier get separate retry/breaker state, so a meltdown
-    /// in one stage cannot poison the other's budget accounting).
-    ///
-    /// The retry/breaker spend of each boundary is stamped into the
-    /// matching stats block ([`ScrapeStats::resilience`],
-    /// [`NerStats::resilience`](crate::ner::NerStats),
-    /// [`FaviconStats::resilience`](crate::web::favicon::FaviconStats)),
-    /// and [`Borges::coverage`] reports what survived.
-    ///
-    /// Determinism contract: over a fault-free (or recoverable-within-
-    /// budget) world this produces a mapping **bit-identical** to
-    /// [`Borges::run`] over the bare stack — retries erase recoverable
-    /// faults entirely. When faults are not recoverable, the run still
-    /// completes: abandoned work is counted, the mapping is built from
-    /// the evidence that survived, and every abandoned record shows up in
-    /// the coverage report.
-    pub fn run_resilient<C: WebClient>(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        web_client: C,
-        model: &dyn ChatModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        Self::run_resilient_traced(
+            ..BuildPlan::default()
+        };
+        Self::build(
             whois,
             pdb,
-            web_client,
+            Source::Crawl(&web_client),
             model,
-            policy,
+            &plan,
             &Telemetry::disabled(),
         )
     }
 
-    /// Like [`Borges::run_resilient`], recording into `tel`. On top of
-    /// the stage spans and funnels, the retry wrappers themselves emit
-    /// per-boundary attempt/recovery/abandonment counters, call-duration
-    /// histograms, and [`BreakerEvent`]s — and they share the telemetry
-    /// clock, so virtual backoff spend is visible in stage durations.
-    pub fn run_resilient_traced<C: WebClient>(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        web_client: C,
-        model: &dyn ChatModel,
-        policy: RetryPolicy,
-        tel: &Telemetry,
-    ) -> Self {
-        let root = tel.span("run");
-        let breaker = BreakerConfig::standard();
-        let web = RetryingWebClient::new(web_client, policy)
-            .with_breakers(breaker)
-            .with_clock(tel.clock())
-            .with_telemetry(tel.clone());
-        let scraper = Scraper::new(&web);
-        let report = stage(tel, &root, "crawl", |span| {
-            let mut report = scraper.crawl(pdb.nets().map(|n| (n.asn, n.website.as_str())));
-            report.stats.resilience = web.stats();
-            annotate_crawl(span, &report.stats);
-            report
-        });
-        let web_cache = scraper.cache_stats();
-
-        let ner = stage(tel, &root, "ner", |span| {
-            let ner_model = RetryingModel::new(model, policy)
-                .with_breaker(breaker)
-                .with_clock(tel.clock())
-                .with_telemetry(tel.clone(), "ner");
-            let mut ner = extract(pdb, &ner_model, NerConfig::default());
-            ner.stats.resilience = ner_model.stats();
-            annotate_ner(span, &ner);
-            ner
-        });
-
-        let rr = stage(tel, &root, "rr", |span| {
-            let rr = rr_inference(&report);
-            annotate_rr(span, &rr);
-            rr
-        });
-        let favicon = stage(tel, &root, "favicon", |span| {
-            let favicon_model = RetryingModel::new(model, policy)
-                .with_breaker(breaker)
-                .with_clock(tel.clock())
-                .with_telemetry(tel.clone(), "favicon");
-            let mut favicon = favicon_inference(&report, &favicon_model);
-            favicon.stats.resilience = favicon_model.stats();
-            annotate_favicon(span, &favicon);
-            favicon
-        });
-
-        Self::finish(
-            whois, pdb, &report, ner, rr, favicon, web_cache, 1, tel, &root,
-        )
-    }
-
-    /// Like [`Borges::run`] but with a pre-computed scrape report and an
-    /// explicit NER configuration (used by ablations and benches to avoid
-    /// re-crawling).
+    /// [`Borges::build`] untraced over a pre-computed scrape report,
+    /// with an explicit NER configuration (ablations and benches use it
+    /// to avoid re-crawling).
     pub fn from_scrape(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -1011,23 +1269,10 @@ impl Borges {
         model: &dyn ChatModel,
         ner_config: NerConfig,
     ) -> Self {
-        Self::from_scrape_traced(
-            whois,
-            pdb,
-            report,
-            model,
-            ner_config,
-            &Telemetry::disabled(),
-        )
+        Self::from_scrape_parallel(whois, pdb, report, model, ner_config, 1)
     }
 
-    /// Like [`Borges::from_scrape`], but with the evidence compilation's
-    /// OID_W base replay sharded over `threads` workers
-    /// ([`CompiledEvidence::build`]). LLM extraction stays sequential —
-    /// this entry point exists for compile-bound workloads (the compile
-    /// bench, large-world CLI runs) where the crawl and LLM stages are
-    /// pre-computed or memoized. Byte-identical to
-    /// [`Borges::from_scrape`] at every thread count.
+    /// [`Borges::from_scrape`] over `threads` workers.
     pub fn from_scrape_parallel(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -1036,526 +1281,26 @@ impl Borges {
         ner_config: NerConfig,
         threads: usize,
     ) -> Self {
-        Self::from_scrape_parallel_traced(
-            whois,
-            pdb,
-            report,
-            model,
-            ner_config,
+        let plan = BuildPlan {
             threads,
+            ner: ner_config,
+            ..BuildPlan::default()
+        };
+        Self::build(
+            whois,
+            pdb,
+            Source::Scraped(report),
+            model,
+            &plan,
             &Telemetry::disabled(),
         )
     }
 
-    /// Like [`Borges::from_scrape`], recording into `tel`. There is no
-    /// crawl stage (the report is pre-computed), so the trace has no
-    /// `run/crawl` span and the redirect-cache ledger row reads zero.
-    pub fn from_scrape_traced(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        tel: &Telemetry,
-    ) -> Self {
-        Self::from_scrape_parallel_traced(whois, pdb, report, model, ner_config, 1, tel)
-    }
-
-    /// [`Borges::from_scrape_parallel`] recording into `tel`.
-    pub fn from_scrape_parallel_traced(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        threads: usize,
-        tel: &Telemetry,
-    ) -> Self {
-        let root = tel.span("run");
-        Self::extract_and_assemble(
-            whois,
-            pdb,
-            report,
-            model,
-            ner_config,
-            CacheStats::default(),
-            threads,
-            tel,
-            &root,
-        )
-    }
-
-    /// Streaming ingest: [`Borges::run`] with the crawl overlapped
-    /// against NER extraction and registry-side evidence compilation
-    /// (DESIGN.md §14). A bounded-concurrency scheduler
-    /// ([`borges_parallel::stream_indexed`]) drives `opts.workers`
-    /// fetch workers under a global `opts.max_in_flight` cap and
-    /// optional per-host token-bucket rate limits, serializing fetches
-    /// per host in canonical input order; completions flow through a
-    /// key-canonical reassembly buffer into an incremental
-    /// [`ReportAssembler`] while later fetches are still in flight.
-    ///
-    /// Determinism contract: the mapping, canonical trace, and metrics
-    /// snapshot are **byte-identical** to the staged run
-    /// ([`Borges::run_parallel`] bare, [`Borges::run_resilient`] when
-    /// `opts.policy` is set) at every worker count, in-flight cap, and
-    /// rate limit — including under recoverable transport faults.
-    /// Scheduler concurrency shows up only in [`WorkerTiming`] ledger
-    /// rows (stage names from [`borges_telemetry::ingest`]), the one
-    /// surface the contract excludes.
-    pub fn run_streaming<C: WebClient + Sync>(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        web_client: C,
-        model: &(dyn ChatModel + Sync),
-        opts: &StreamOptions,
-    ) -> Self {
-        Self::run_streaming_traced(whois, pdb, web_client, model, opts, &Telemetry::disabled())
-    }
-
-    /// Like [`Borges::run_streaming`], recording into `tel`.
-    ///
-    /// Two phases keep the canonical surfaces schedule-independent.
-    /// **Phase A (overlap)** runs the crawl scheduler concurrently with
-    /// one compute thread doing NER and [`StreamPrecompiled::build`];
-    /// nothing touches the telemetry clock or opens spans — resilient
-    /// fetches spend their backoff on per-call private clocks whose
-    /// total is accumulated. **Phase B (replay)** opens the `run` span
-    /// at virtual t=0 and replays each stage in staged order, sleeping
-    /// the accumulated virtual backoff inside the matching stage span,
-    /// so timestamps and stage-duration histograms land exactly where
-    /// the staged run puts them.
-    pub fn run_streaming_traced<C: WebClient + Sync>(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        web_client: C,
-        model: &(dyn ChatModel + Sync),
-        opts: &StreamOptions,
-        tel: &Telemetry,
-    ) -> Self {
-        let fetcher = match opts.policy {
-            Some(policy) => StreamingWebClient::resilient(web_client, policy)
-                .with_breakers(BreakerConfig::standard())
-                .with_telemetry(tel.clone()),
-            None => StreamingWebClient::bare(web_client),
-        };
-        let scraper = Scraper::new(&fetcher);
-        let entries = stream_entries(pdb);
-        let limiter = opts
-            .per_host_rps
-            .map(|rps| RateLimiterRegistry::new(rps, opts.burst));
-        let config = StreamConfig {
-            workers: opts.workers,
-            max_in_flight: opts.max_in_flight,
-        };
-
-        let mut assembler = ReportAssembler::new();
-        let (ledger, compute_out) = std::thread::scope(|scope| {
-            let compute = scope.spawn(|| {
-                let pre = StreamPrecompiled::build(whois, pdb, opts.threads);
-                let ner = Self::stream_ner(pdb, model, NerConfig::default(), opts, tel);
-                (pre, ner)
-            });
-            let ledger = stream_indexed(
-                &entries,
-                &config,
-                |e| e.key,
-                |_key, e| match (&limiter, &e.host) {
-                    (Some(registry), Some(host)) => {
-                        registry.limiter(host).try_acquire(opts.pacing.now_ms())
-                    }
-                    _ => Ok(()),
-                },
-                |ms| opts.pacing.sleep_ms(ms),
-                |_, e| scraper.resolve(e.raw),
-                |index, resolution| assembler.push(entries[index].asn, resolution),
-            );
-            let compute_out = match compute.join() {
-                Ok(out) => out,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-            (ledger, compute_out)
-        });
-        let (pre, (ner, ner_backoff_ms)) = compute_out;
-        let mut report = assembler.finish();
-        if opts.policy.is_some() {
-            report.stats.resilience = fetcher.stats();
-        }
-        let web_cache = scraper.cache_stats();
-
-        let root = tel.span("run");
-        stage(tel, &root, "crawl", |span| {
-            tel.clock().sleep_ms(fetcher.backoff_total_ms());
-            annotate_crawl(span, &report.stats);
-        });
-        record_ingest_ledger(tel, &ledger);
-        Self::assemble_streaming(
-            whois,
-            pdb,
-            &report,
-            ner,
-            ner_backoff_ms,
-            model,
-            opts,
-            web_cache,
-            pre,
-            tel,
-            &root,
-        )
-    }
-
-    /// [`Borges::from_scrape`]'s streaming twin: NER runs on a compute
-    /// thread while the main thread builds the registry-side evidence,
-    /// then the canonical stages replay. Byte-identical to
-    /// [`Borges::from_scrape`] /
-    /// [`Borges::from_scrape_parallel`] over the same inputs.
-    pub fn from_scrape_streaming(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &(dyn ChatModel + Sync),
-        ner_config: NerConfig,
-        opts: &StreamOptions,
-    ) -> Self {
-        Self::from_scrape_streaming_traced(
-            whois,
-            pdb,
-            report,
-            model,
-            ner_config,
-            opts,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// Like [`Borges::from_scrape_streaming`], recording into `tel`.
-    /// As with [`Borges::from_scrape_traced`] there is no crawl stage,
-    /// so the trace has no `run/crawl` span and the redirect-cache
-    /// ledger row reads zero.
-    pub fn from_scrape_streaming_traced(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &(dyn ChatModel + Sync),
-        ner_config: NerConfig,
-        opts: &StreamOptions,
-        tel: &Telemetry,
-    ) -> Self {
-        let ((ner, ner_backoff_ms), pre) = std::thread::scope(|scope| {
-            let compute = scope.spawn(|| Self::stream_ner(pdb, model, ner_config, opts, tel));
-            let pre = StreamPrecompiled::build(whois, pdb, opts.threads);
-            match compute.join() {
-                Ok(ner) => (ner, pre),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        });
-        let root = tel.span("run");
-        Self::assemble_streaming(
-            whois,
-            pdb,
-            report,
-            ner,
-            ner_backoff_ms,
-            model,
-            opts,
-            CacheStats::default(),
-            pre,
-            tel,
-            &root,
-        )
-    }
-
-    /// Phase-A NER for the streaming constructors. Resilient runs wrap
-    /// the model in a [`RetryingModel`] on a *private* [`SimClock`] —
-    /// the telemetry clock must not move before phase B replays the
-    /// crawl — and return the virtual backoff spend for the `ner` stage
-    /// replay. Backoff schedules depend only on (attempt, key), never on
-    /// absolute time, so the spend equals what the staged run's shared
-    /// clock would have accumulated. Bare runs fan out over
-    /// `opts.threads` with zero virtual spend.
-    fn stream_ner(
-        pdb: &PdbSnapshot,
-        model: &(dyn ChatModel + Sync),
-        ner_config: NerConfig,
-        opts: &StreamOptions,
-        tel: &Telemetry,
-    ) -> (NerResult, u64) {
-        match opts.policy {
-            Some(policy) => {
-                let clock = Arc::new(SimClock::new());
-                let ner_model = RetryingModel::new(model, policy)
-                    .with_breaker(BreakerConfig::standard())
-                    .with_clock(clock.clone())
-                    .with_telemetry(tel.clone(), "ner");
-                let mut ner = extract(pdb, &ner_model, ner_config);
-                ner.stats.resilience = ner_model.stats();
-                (ner, clock.now_ms())
-            }
-            None => (
-                crate::ner::extract_parallel(pdb, model, ner_config, opts.threads),
-                0,
-            ),
-        }
-    }
-
-    /// Phase-B tail of the streaming constructors: replays the `ner`
-    /// stage (virtual backoff + annotations), runs the pure `rr`
-    /// inference, runs the `favicon` stage *live* on the telemetry clock
-    /// (it is sequential and starts at the same virtual instant as in
-    /// the staged run, so spans, metrics, and breaker events land
-    /// identically), then finishes with the precompiled evidence.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_streaming(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        ner: NerResult,
-        ner_backoff_ms: u64,
-        model: &(dyn ChatModel + Sync),
-        opts: &StreamOptions,
-        web_cache: CacheStats,
-        pre: StreamPrecompiled,
-        tel: &Telemetry,
-        root: &Span,
-    ) -> Self {
-        let ner = stage(tel, root, "ner", |span| {
-            tel.clock().sleep_ms(ner_backoff_ms);
-            annotate_ner(span, &ner);
-            ner
-        });
-        let rr = stage(tel, root, "rr", |span| {
-            let rr = rr_inference(report);
-            annotate_rr(span, &rr);
-            rr
-        });
-        let favicon = stage(tel, root, "favicon", |span| {
-            let favicon = match opts.policy {
-                Some(policy) => {
-                    let favicon_model = RetryingModel::new(model, policy)
-                        .with_breaker(BreakerConfig::standard())
-                        .with_clock(tel.clock())
-                        .with_telemetry(tel.clone(), "favicon");
-                    let mut favicon = favicon_inference(report, &favicon_model);
-                    favicon.stats.resilience = favicon_model.stats();
-                    favicon
-                }
-                None => favicon_inference(report, model),
-            };
-            annotate_favicon(span, &favicon);
-            favicon
-        });
-        Self::finish_streaming(
-            whois,
-            pdb,
-            report,
-            ner,
-            rr,
-            favicon,
-            web_cache,
-            pre,
-            opts.threads,
-            tel,
-            root,
-        )
-    }
-
-    /// Shared tail of the streaming constructors — the streaming
-    /// analogue of [`Borges::finish`], consuming the
-    /// [`StreamPrecompiled`] built during the overlap window instead of
-    /// re-deriving the universe and registry evidence. Span fields and
-    /// metrics are identical to the staged tail because every value
-    /// comes from the same derivations.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_streaming(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        ner: NerResult,
-        rr: RrInference,
-        favicon: FaviconInference,
-        web_cache: CacheStats,
-        pre: StreamPrecompiled,
-        threads: usize,
-        tel: &Telemetry,
-        root: &Span,
-    ) -> Self {
-        let StreamPrecompiled {
-            interner,
-            oid_w,
-            oid_p,
-            feed,
-            oid_w_groups,
-            oid_p_groups,
-        } = pre;
-        let fingerprints = SourceFingerprints::capture(whois, pdb, report);
-        let compiled = stage(tel, root, "compile", |span| {
-            let compiled = CompiledEvidence::compile_from_stream(
-                interner, oid_w, oid_p, feed, &ner, &rr, &favicon, threads, tel,
-            );
-            span.field("asns", compiled.interner.live_len());
-            span.field("ner_links", segment_edge_count(&compiled.na));
-            compiled
-        });
-
-        let borges = Borges {
-            compiled,
-            oid_w_groups,
-            oid_p_groups,
-            ner,
-            rr,
-            favicon,
-            scrape_stats: report.stats.clone(),
-            web_cache,
-            fingerprints,
-            delta: None,
-            world_epoch: 0,
-        };
-        borges.stamp_metrics(tel);
-        borges
-    }
-
-    /// Shared tail of the sequential bare-stack constructors: runs NER,
-    /// then hands off to [`Borges::assemble`].
-    #[allow(clippy::too_many_arguments)]
-    fn extract_and_assemble(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        web_cache: CacheStats,
-        threads: usize,
-        tel: &Telemetry,
-        root: &Span,
-    ) -> Self {
-        let ner = stage(tel, root, "ner", |span| {
-            let ner = extract(pdb, model, ner_config);
-            annotate_ner(span, &ner);
-            ner
-        });
-        Self::assemble(
-            whois, pdb, report, ner, model, web_cache, threads, tel, root,
-        )
-    }
-
-    /// Shared tail of the bare-stack constructors: runs the web
-    /// inferences over `model` directly, then hands off to
-    /// [`Borges::finish`].
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        ner: NerResult,
-        model: &dyn ChatModel,
-        web_cache: CacheStats,
-        threads: usize,
-        tel: &Telemetry,
-        root: &Span,
-    ) -> Self {
-        let rr = stage(tel, root, "rr", |span| {
-            let rr = rr_inference(report);
-            annotate_rr(span, &rr);
-            rr
-        });
-        let favicon = stage(tel, root, "favicon", |span| {
-            let favicon = favicon_inference(report, model);
-            annotate_favicon(span, &favicon);
-            favicon
-        });
-        Self::finish(
-            whois, pdb, report, ner, rr, favicon, web_cache, threads, tel, root,
-        )
-    }
-
-    /// Shared tail of every constructor: fixes the universe and compiles
-    /// all (pre-computed) evidence to dense edge lists. Takes the web
-    /// inferences ready-made so callers can run them behind whatever
-    /// client/model stack they choose (see [`Borges::run_resilient`]).
-    /// Also where every stage funnel is stamped into the metrics
-    /// registry — from the merged stats, never per item inside workers,
-    /// so sequential and parallel runs emit identical snapshots.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        ner: NerResult,
-        rr: RrInference,
-        favicon: FaviconInference,
-        web_cache: CacheStats,
-        threads: usize,
-        tel: &Telemetry,
-        root: &Span,
-    ) -> Self {
-        let mut universe: BTreeSet<Asn> = whois.all_asns().collect();
-        // PeeringDB networks missing from WHOIS (rare, but real dumps have
-        // them) still belong to the mapping universe.
-        universe.extend(pdb.nets().map(|n| n.asn));
-
-        let oid_w_groups = orgkeys::oid_w_groups(whois);
-        let oid_p_groups = orgkeys::oid_p_groups(pdb);
-        let fingerprints = SourceFingerprints::capture(whois, pdb, report);
-        let compiled = stage(tel, root, "compile", |span| {
-            let compiled =
-                CompiledEvidence::compile(universe, whois, pdb, &ner, &rr, &favicon, threads, tel);
-            span.field("asns", compiled.interner.live_len());
-            span.field("ner_links", segment_edge_count(&compiled.na));
-            compiled
-        });
-
-        let borges = Borges {
-            compiled,
-            oid_w_groups,
-            oid_p_groups,
-            ner,
-            rr,
-            favicon,
-            scrape_stats: report.stats.clone(),
-            web_cache,
-            fingerprints,
-            delta: None,
-            world_epoch: 0,
-        };
-        borges.stamp_metrics(tel);
-        borges
-    }
-
-    /// Incrementally re-maps snapshot T+1 against persisted snapshot-T
-    /// state: LLM stages replay memoized replies for records whose text
-    /// did not change, and evidence compilation reuses every edge
-    /// segment whose member fingerprint is untouched
-    /// ([`CompiledEvidence`]'s delta path). The keystone contract — the
-    /// result is **byte-identical** to [`Borges::from_scrape`] over the
-    /// same T+1 inputs — holds because both paths run the same
-    /// derivation code and only skip work proven unchanged.
-    ///
-    /// `report` is the *re-crawled* T+1 web observation: crawling is
-    /// cheap next to LLM calls and the web can drift even when the
-    /// registries did not, so it is never carried over from T.
-    pub fn remap(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        state: &SnapshotState,
-    ) -> Self {
-        Self::remap_traced(
-            whois,
-            pdb,
-            report,
-            model,
-            ner_config,
-            state,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// Like [`Borges::remap`], with the rebuilt OID_W base closure
-    /// replayed sharded over `threads` workers — the `--threads` flag's
-    /// effect on the incremental path. Byte-identical to
-    /// [`Borges::remap`] at every thread count.
+    /// [`Borges::build`] untraced, incrementally against `state` over
+    /// `threads` workers. `report` is the *re-crawled* T+1 web
+    /// observation: crawling is cheap next to LLM calls and the web can
+    /// drift even when the registries did not, so it is never carried
+    /// over from T.
     pub fn remap_parallel(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -1565,116 +1310,26 @@ impl Borges {
         state: &SnapshotState,
         threads: usize,
     ) -> Self {
-        Self::remap_parallel_traced(
+        let plan = BuildPlan {
+            threads,
+            ner: ner_config,
+            base: Some(state),
+            ..BuildPlan::default()
+        };
+        Self::build(
             whois,
             pdb,
-            report,
+            Source::Scraped(report),
             model,
-            ner_config,
-            state,
-            threads,
+            &plan,
             &Telemetry::disabled(),
         )
     }
 
-    /// Like [`Borges::remap`], recording into `tel`: a `remap` root span
-    /// with `ner`/`rr`/`favicon` stage children plus an `apply` stage
-    /// for the delta compilation, the usual funnel counters, and
-    /// `borges_delta_*` counters for the reuse accounting.
-    pub fn remap_traced(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        state: &SnapshotState,
-        tel: &Telemetry,
-    ) -> Self {
-        Self::remap_parallel_traced(whois, pdb, report, model, ner_config, state, 1, tel)
-    }
-
-    /// [`Borges::remap_parallel`] recording into `tel`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn remap_parallel_traced(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        state: &SnapshotState,
-        threads: usize,
-        tel: &Telemetry,
-    ) -> Self {
-        let root = tel.span("remap");
-        let ner_memo = state.ner_memo_map();
-        let ner = stage(tel, &root, "ner", |span| {
-            let ner = extract_with_memo(pdb, model, ner_config, &ner_memo);
-            annotate_ner(span, &ner);
-            span.field("memo_hits", ner.memo_hits);
-            ner
-        });
-        let rr = stage(tel, &root, "rr", |span| {
-            let rr = rr_inference(report);
-            annotate_rr(span, &rr);
-            rr
-        });
-        let favicon_memo = state.favicon_memo_map();
-        let favicon = stage(tel, &root, "favicon", |span| {
-            let favicon = favicon_inference_memo(report, model, true, &favicon_memo);
-            annotate_favicon(span, &favicon);
-            span.field("memo_hits", favicon.memo_hits);
-            favicon
-        });
-
-        let mut universe: BTreeSet<Asn> = whois.all_asns().collect();
-        universe.extend(pdb.nets().map(|n| n.asn));
-        let oid_w_groups = orgkeys::oid_w_groups(whois);
-        let oid_p_groups = orgkeys::oid_p_groups(pdb);
-        let fingerprints = SourceFingerprints::capture(whois, pdb, report);
-
-        let (compiled, mut dstats) = stage(tel, &root, "apply", |span| {
-            let (compiled, mut dstats) = CompiledEvidence::apply_delta(
-                state, &universe, whois, pdb, &ner, &rr, &favicon, threads, tel,
-            );
-            dstats.records = SnapshotDelta::compute(&state.fingerprints(), &fingerprints);
-            span.field("asns", compiled.interner.live_len());
-            span.field("records_dirty", dstats.records.dirty());
-            span.field(
-                "segments_retained",
-                dstats
-                    .edge_rows()
-                    .iter()
-                    .map(|(_, d)| d.segments_retained)
-                    .sum::<usize>(),
-            );
-            (compiled, dstats)
-        });
-        dstats.ner_reused = ner.memo_hits;
-        dstats.ner_recomputed = ner.stats.llm_calls;
-        dstats.favicon_reused = favicon.memo_hits;
-        dstats.favicon_recomputed = favicon.stats.llm_calls;
-
-        let borges = Borges {
-            compiled,
-            oid_w_groups,
-            oid_p_groups,
-            ner,
-            rr,
-            favicon,
-            scrape_stats: report.stats.clone(),
-            web_cache: CacheStats::default(),
-            fingerprints,
-            delta: Some(dstats),
-            world_epoch: 0,
-        };
-        borges.stamp_metrics(tel);
-        borges.stamp_delta_metrics(tel);
-        borges
-    }
-
     /// The persistable compiled state of this run: interner slots, edge
     /// segments, source fingerprints, and the LLM reply memos — exactly
-    /// what a later [`Borges::remap`] needs. Captured on *every* run
+    /// what a later incremental [`Borges::build`] needs as its
+    /// [`BuildPlan::base`]. Captured on *every* run
     /// (full or incremental), so remaps chain: T → T+1 → T+2.
     pub fn snapshot_state(&self) -> SnapshotState {
         SnapshotState::build(
@@ -2069,7 +1724,7 @@ impl Borges {
     /// This is a pure replay over pre-compiled state: clone the OID_W
     /// base closure, union the selected edge lists, read the groups out.
     /// Calls are independent, so any number can run concurrently — see
-    /// [`Borges::mappings_parallel`].
+    /// [`Borges::mappings`].
     pub fn mapping(&self, features: FeatureSet) -> AsOrgMapping {
         let mut uf = self.compiled.base.clone();
         if features.oid_p {
@@ -2100,7 +1755,7 @@ impl Borges {
     /// ([`DenseUnionFind::union_edge_lists_sharded`]). Byte-identical to
     /// the sequential replay for every feature set and shard count;
     /// `shards <= 1` *is* the sequential replay. This is the
-    /// intra-mapping parallelism [`Borges::mappings_parallel`] falls
+    /// intra-mapping parallelism [`Borges::mappings`] falls
     /// back to when there are fewer feature combinations than workers.
     pub fn mapping_sharded(&self, features: FeatureSet, shards: usize) -> AsOrgMapping {
         self.mapping_sharded_traced(features, shards, &Telemetry::disabled())
@@ -2146,18 +1801,13 @@ impl Borges {
     /// capacity moves *inside* each replay: every materialization runs
     /// [`Borges::mapping_sharded`] with `threads` shards instead. Pure
     /// scheduling — the results are byte-identical either way.
-    pub fn mappings_parallel(&self, features: &[FeatureSet], threads: usize) -> Vec<AsOrgMapping> {
-        self.mappings_parallel_traced(features, threads, &Telemetry::disabled())
-    }
-
-    /// Like [`Borges::mappings_parallel`], recording into `tel`: one
-    /// logical `mappings/materialize` span per feature set (labelled with
-    /// the combination), a `borges_mapping_materialize_ms` histogram
-    /// observation per replay, and — because chunk-to-worker assignment
-    /// is a scheduling detail — a *runtime* span plus a [`WorkerTiming`]
-    /// ledger row per chunk. Results are unchanged from the untraced
-    /// call, bit for bit.
-    pub fn mappings_parallel_traced(
+    ///
+    /// An enabled `tel` records one logical `mappings/materialize` span
+    /// per feature set (labelled with the combination), a
+    /// `borges_mapping_materialize_ms` histogram observation per replay,
+    /// and — because chunk-to-worker assignment is a scheduling detail —
+    /// a *runtime* span plus a [`WorkerTiming`] ledger row per chunk.
+    pub fn mappings(
         &self,
         features: &[FeatureSet],
         threads: usize,
@@ -2254,8 +1904,8 @@ impl Borges {
     /// ledger, per-boundary resilience spend, cache efficacy, sorted
     /// breaker events and worker timings, and the full metrics snapshot,
     /// in one serializable [`RunReport`]. `pipeline` names how the run
-    /// executed (`sequential`, `parallel`, `resilient`) and `threads` the
-    /// fan-out width — pure labels, not re-derived.
+    /// executed ([`BuildPlan::label`]) and `threads` the fan-out width —
+    /// pure labels, not re-derived.
     ///
     /// Pass the same `tel` the run recorded into; a disabled context
     /// yields a report with empty metrics/events but complete funnels.
@@ -2500,6 +2150,28 @@ mod tests {
     use borges_synthnet::{GeneratorConfig, SyntheticInternet};
     use borges_websim::SimWebClient;
 
+    /// A staged build with retries over `web`, recording into `tel`.
+    fn resilient(
+        world: &SyntheticInternet,
+        web: impl WebClient,
+        model: &dyn ChatModel,
+        policy: RetryPolicy,
+        tel: &Telemetry,
+    ) -> Borges {
+        let plan = BuildPlan {
+            retry: Some(policy),
+            ..BuildPlan::default()
+        };
+        Borges::build(
+            &world.whois,
+            &world.pdb,
+            Source::Crawl(&web),
+            model,
+            &plan,
+            tel,
+        )
+    }
+
     fn pipeline() -> (SyntheticInternet, Borges) {
         let world = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
         let llm = SimLlm::flawless();
@@ -2708,7 +2380,7 @@ mod tests {
         let sequential: Vec<_> = combos.iter().map(|&f| borges.mapping(f)).collect();
         for threads in [1, 2, 7] {
             assert_eq!(
-                borges.mappings_parallel(&combos, threads),
+                borges.mappings(&combos, threads, &Telemetry::disabled()),
                 sequential,
                 "diverged with {threads} threads"
             );
@@ -2777,12 +2449,12 @@ mod tests {
             SimWebClient::browser(&world.web),
             &llm,
         );
-        let resilient = Borges::run_resilient(
-            &world.whois,
-            &world.pdb,
+        let resilient = resilient(
+            &world,
             SimWebClient::browser(&world.web),
             &llm,
-            borges_resilience::RetryPolicy::standard(11),
+            RetryPolicy::standard(11),
+            &Telemetry::disabled(),
         );
         for features in FeatureSet::all_combinations() {
             assert_eq!(resilient.mapping(features), bare.mapping(features));
@@ -2823,12 +2495,12 @@ mod tests {
                 EpisodePlan::calibrated(seed),
             );
             let flaky_llm = FlakyModel::new(SimLlm::flawless(), EpisodePlan::calibrated(seed ^ 1));
-            let chaotic = Borges::run_resilient(
-                &world.whois,
-                &world.pdb,
+            let chaotic = resilient(
+                &world,
                 flaky_web,
                 &flaky_llm,
                 RetryPolicy::standard(seed),
+                &Telemetry::disabled(),
             );
             // The keystone: every recoverable episode is erased entirely.
             for features in FeatureSet::all_combinations() {
@@ -2871,12 +2543,12 @@ mod tests {
             EpisodePlan::with_outages(7),
         );
         let flaky_llm = FlakyModel::new(SimLlm::flawless(), EpisodePlan::with_outages(8));
-        let degraded = Borges::run_resilient(
-            &world.whois,
-            &world.pdb,
+        let degraded = resilient(
+            &world,
             flaky_web,
             &flaky_llm,
             RetryPolicy::none(),
+            &Telemetry::disabled(),
         );
 
         // The run completed and every loss is on the books.
@@ -2914,11 +2586,12 @@ mod tests {
         let world = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
         let llm = SimLlm::flawless();
         let tel = Telemetry::sim(Verbosity::Quiet);
-        let borges = Borges::run_traced(
+        let borges = Borges::build(
             &world.whois,
             &world.pdb,
-            SimWebClient::browser(&world.web),
+            Source::Crawl(&SimWebClient::browser(&world.web)),
             &llm,
+            &BuildPlan::default(),
             &tel,
         );
         // One logical span per stage, under the root.
@@ -2970,8 +2643,8 @@ mod tests {
         let (_, borges) = pipeline();
         let combos = FeatureSet::all_combinations();
         let tel = Telemetry::sim(Verbosity::Quiet);
-        let mapped = borges.mappings_parallel_traced(&combos, 4, &tel);
-        assert_eq!(mapped, borges.mappings_parallel(&combos, 4));
+        let mapped = borges.mappings(&combos, 4, &tel);
+        assert_eq!(mapped, borges.mappings(&combos, 4, &Telemetry::disabled()));
         let snap = tel.metrics_snapshot();
         assert_eq!(
             snap.histogram("borges_mapping_materialize_ms")
@@ -3005,12 +2678,11 @@ mod tests {
         let world = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
         let llm = SimLlm::flawless();
         let tel = Telemetry::sim(Verbosity::Quiet);
-        let borges = Borges::run_resilient_traced(
-            &world.whois,
-            &world.pdb,
+        let borges = resilient(
+            &world,
             SimWebClient::browser(&world.web),
             &llm,
-            borges_resilience::RetryPolicy::standard(11),
+            RetryPolicy::standard(11),
             &tel,
         );
         let report = borges.run_report(&tel, "resilient", 1);
@@ -3075,13 +2747,14 @@ mod tests {
             &llm,
             NerConfig::default(),
         );
-        let inc = Borges::remap(
+        let inc = Borges::remap_parallel(
             &world.whois,
             &world.pdb,
             &report,
             &llm,
             NerConfig::default(),
             state,
+            1,
         );
         assert_eq!(inc.universe(), full.universe());
         for f in FeatureSet::all_combinations() {
@@ -3111,13 +2784,14 @@ mod tests {
 
         // With nothing changed, every LLM answer replays from the memo
         // and every edge segment is carried over verbatim.
-        let inc = Borges::remap(
+        let inc = Borges::remap_parallel(
             &world.whois,
             &world.pdb,
             &report,
             &llm,
             NerConfig::default(),
             &state,
+            1,
         );
         assert_eq!(inc.ner.stats.llm_calls, 0, "NER must replay from memo");
         assert_eq!(
@@ -3166,13 +2840,16 @@ mod tests {
         )
         .snapshot_state();
         let tel = Telemetry::sim(Verbosity::Quiet);
-        let inc = Borges::remap_traced(
+        let plan = BuildPlan {
+            base: Some(&state),
+            ..BuildPlan::default()
+        };
+        let inc = Borges::build(
             &world.whois,
             &world.pdb,
-            &report,
+            Source::Scraped(&report),
             &llm,
-            NerConfig::default(),
-            &state,
+            &plan,
             &tel,
         );
         let paths: Vec<String> = tel.trace_records().iter().map(|r| r.path.clone()).collect();
@@ -3200,5 +2877,53 @@ mod tests {
         assert!(ledger.delta.consistent());
         assert_eq!(ledger.delta.records.len(), 5);
         assert_eq!(ledger.delta.edges.len(), 5);
+    }
+
+    #[test]
+    fn streaming_remap_matches_staged_remap() {
+        // `base` with the streaming engine is a combination no wrapper
+        // offers: it must fall out of the shared build body unchanged.
+        use borges_telemetry::{Telemetry, Verbosity};
+        let t0 = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
+        let t1 = SyntheticInternet::generate(&GeneratorConfig::tiny(12));
+        let llm = SimLlm::flawless();
+        let crawl = |world: &SyntheticInternet| {
+            Scraper::new(SimWebClient::browser(&world.web))
+                .crawl(world.pdb.nets().map(|n| (n.asn, n.website.as_str())))
+        };
+        let state =
+            Borges::from_scrape(&t0.whois, &t0.pdb, &crawl(&t0), &llm, NerConfig::default())
+                .snapshot_state();
+        let report = crawl(&t1);
+        let remap = |engine: Engine| {
+            let tel = Telemetry::sim(Verbosity::Quiet);
+            let plan = BuildPlan {
+                threads: 3,
+                engine,
+                base: Some(&state),
+                ..BuildPlan::default()
+            };
+            let borges = Borges::build(
+                &t1.whois,
+                &t1.pdb,
+                Source::Scraped(&report),
+                &llm,
+                &plan,
+                &tel,
+            );
+            let maps: Vec<String> = FeatureSet::all_combinations()
+                .into_iter()
+                .map(|f| crate::mapfile::serialize(&borges.mapping(f)))
+                .collect();
+            (
+                maps,
+                tel.trace_jsonl_canonical(),
+                tel.metrics_snapshot().to_prometheus(),
+                borges.delta,
+            )
+        };
+        let staged = remap(Engine::Staged);
+        assert!(staged.3.is_some(), "a based build is incremental");
+        assert_eq!(remap(Engine::Streaming(StreamOptions::default())), staged);
     }
 }

@@ -53,7 +53,7 @@ pub struct FaviconStats {
     pub usage: borges_llm::chat::Usage,
     /// Retry/breaker accounting when the stage ran behind a
     /// [`RetryingModel`](borges_llm::RetryingModel) (stamped by
-    /// [`Borges::run_resilient`](crate::pipeline::Borges::run_resilient);
+    /// [`Borges::build`](crate::pipeline::Borges::build) under a retry policy;
     /// zero otherwise).
     pub resilience: borges_resilience::ResilienceStats,
 }

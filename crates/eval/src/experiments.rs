@@ -16,6 +16,7 @@ use borges_core::orgfactor::{
 };
 use borges_core::orgkeys::{oid_p_mapping, oid_w_mapping};
 use borges_core::pipeline::{Feature, FeatureSet};
+use borges_telemetry::Telemetry;
 
 /// Table 3 — ASes and organizations contributed by each feature, plus the
 /// §5.2 funnel narrative.
@@ -222,7 +223,9 @@ pub fn table6(ctx: &ExperimentContext) -> (Vec<(String, f64)>, String) {
     ];
     let combinations: Vec<FeatureSet> =
         FeatureSet::all_combinations().into_iter().skip(1).collect();
-    let mappings = ctx.borges.mappings_parallel(&combinations, ctx.threads);
+    let mappings = ctx
+        .borges
+        .mappings(&combinations, ctx.threads, &Telemetry::disabled());
     for (features, mapping) in combinations.iter().zip(&mappings) {
         let theta = organization_factor(mapping, n);
         let label = if *features == FeatureSet::ALL {
@@ -477,7 +480,9 @@ pub fn feature_complementarity(ctx: &ExperimentContext) -> String {
         ),
     ];
     let feature_sets: Vec<FeatureSet> = ablations.iter().map(|(_, f)| *f).collect();
-    let mappings = ctx.borges.mappings_parallel(&feature_sets, ctx.threads);
+    let mappings = ctx
+        .borges
+        .mappings(&feature_sets, ctx.threads, &Telemetry::disabled());
     for ((label, _), mapping) in ablations.iter().zip(&mappings) {
         let without = pairs(mapping);
         t.row([

@@ -29,7 +29,7 @@ pub struct ExperimentContext {
     /// Full Borges mapping (all features).
     pub full: AsOrgMapping,
     /// Worker threads for batched mapping materialization
-    /// ([`Borges::mappings_parallel`]); defaults to the machine's
+    /// ([`Borges::mappings`]); defaults to the machine's
     /// available parallelism.
     pub threads: usize,
 }

@@ -215,7 +215,8 @@ pub struct ChatResponse {
 }
 
 /// A model that completes chats. Object-safe so pipelines can hold
-/// `Box<dyn ChatModel>`.
+/// `Box<dyn ChatModel>`, and `Sync` so one model can serve every
+/// extraction worker.
 ///
 /// `complete` is fallible: `Err(`[`TransportError`]`)` means the call never
 /// produced a usable completion (timeout, 429/5xx, a reply truncated
@@ -224,7 +225,7 @@ pub struct ChatResponse {
 /// before. [`crate::sim::SimLlm`] itself never fails; faults enter through
 /// [`crate::middleware::FlakyModel`] and are absorbed by
 /// [`crate::middleware::RetryingModel`].
-pub trait ChatModel {
+pub trait ChatModel: Sync {
     /// Produces a completion for `request`, or reports that the transport
     /// failed to deliver one.
     fn complete(&self, request: &ChatRequest) -> Result<ChatResponse, TransportError>;

@@ -112,8 +112,8 @@ pub struct ServerHooks {
 }
 
 /// Produces the next [`Borges`] for a reload, given the one currently
-/// serving (so it can run [`Borges::remap`] against the current
-/// snapshot state) and, when `POST /v1/admin/reload` carried a
+/// serving (so it can run an incremental [`Borges::build`] with the
+/// current snapshot state as the plan's `base`) and, when `POST /v1/admin/reload` carried a
 /// `{"store": "<path>"}` body, the store-artifact path the caller asked
 /// to swap to. Injected by the embedder: the serve crate does no IO of
 /// its own. A store-path reload that fails must fail *loudly* (`Err`,
@@ -291,24 +291,15 @@ impl Server {
         borges: Borges,
         reloader: Option<Reloader>,
     ) -> std::io::Result<Server> {
-        Server::start_with(config, borges, reloader, ServerHooks::default())
+        Server::start_with(config, borges, reloader, ServerHooks::default(), None)
     }
 
-    /// [`Server::start`] with embedder callbacks: the access-log and
-    /// slow-request hooks the CLI wires to `--access-log`/`--slow-ms`.
-    pub fn start_with(
-        config: ServerConfig,
-        borges: Borges,
-        reloader: Option<Reloader>,
-        hooks: ServerHooks,
-    ) -> std::io::Result<Server> {
-        Server::start_with_timeline(config, borges, reloader, hooks, None)
-    }
-
-    /// [`Server::start_with`] plus a mounted timeline: `?at=` queries,
+    /// [`Server::start`] with embedder callbacks — the access-log and
+    /// slow-request hooks the CLI wires to `--access-log`/`--slow-ms` —
+    /// and an optional mounted timeline: `?at=` queries,
     /// `/v1/org/{asn}/history`, and `/v1/diff/{t1}/{t2}` answer from
     /// it; without one those paths answer 501.
-    pub fn start_with_timeline(
+    pub fn start_with(
         config: ServerConfig,
         borges: Borges,
         reloader: Option<Reloader>,

@@ -170,7 +170,14 @@ pub fn decode_container(bytes: &[u8], expected_schema: u32) -> Result<Container,
         bytes,
         pos: HEADER_LEN,
     };
-    let mut sections = Vec::with_capacity(section_count as usize);
+    // The count is only CRC-protected, and a CRC is forgeable: reserve
+    // no more sections than the remaining bytes could hold, so a
+    // hostile count fails as `Truncated` below instead of aborting on
+    // an allocation. Every section takes at least its name length,
+    // payload length and checksum fields.
+    const MIN_SECTION_LEN: usize = 2 + 8 + 4;
+    let fit = (bytes.len() - HEADER_LEN) / MIN_SECTION_LEN;
+    let mut sections = Vec::with_capacity((section_count as usize).min(fit));
     for index in 0..section_count {
         let name_len = cursor.u16_le(&format!("section #{index} name length"))? as usize;
         let name_bytes = cursor.take(name_len, &format!("section #{index} name"))?;
@@ -374,6 +381,22 @@ mod tests {
         trailing.push(0x00);
         assert!(matches!(
             decode_container(&trailing, 7).unwrap_err(),
+            StoreError::Truncated { .. }
+        ));
+    }
+
+    #[test]
+    fn forged_huge_section_count_is_truncated() {
+        // A header-only file with a valid CRC claiming u32::MAX sections.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&7u32.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(bytes.len(), HEADER_LEN);
+        assert!(matches!(
+            decode_container(&bytes, 7).unwrap_err(),
             StoreError::Truncated { .. }
         ));
     }

@@ -15,10 +15,13 @@
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::fs::{self, File};
+#[cfg(test)]
+use std::fs;
+use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use crate::atomic;
 use crate::metrics::DURATION_BUCKETS_MS;
 
 /// One request, as the serving layer saw it. The full record is a
@@ -176,9 +179,9 @@ impl<T: Clone> RingBuffer<T> {
 
 /// A crash-safe JSONL appender: the access log's file face.
 ///
-/// Mirrors the workspace's crash-safe write protocol
-/// (`borges_store::write_atomic` — sibling tmp → fsync → rename → dir
-/// fsync), stretched over the writer's lifetime: lines are appended
+/// Runs the workspace's crash-safe write protocol ([`crate::atomic`]:
+/// sibling tmp → fsync → rename → dir fsync), stretched over the
+/// writer's lifetime: lines are appended
 /// (and flushed) to a hidden staging sibling `.name.tmp-<pid>` while
 /// the server runs, and [`AccessLogWriter::finish`] fsyncs and renames
 /// it into place at graceful shutdown. The destination path therefore
@@ -198,17 +201,7 @@ impl AccessLogWriter {
     /// Opens the staging sibling of `path` for appending.
     pub fn create(path: impl AsRef<Path>) -> io::Result<AccessLogWriter> {
         let path = path.as_ref().to_path_buf();
-        let name = path.file_name().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("access-log path has no file name: {}", path.display()),
-            )
-        })?;
-        let tmp_name = format!(".{}.tmp-{}", name.to_string_lossy(), std::process::id());
-        let staging = match path.parent() {
-            Some(parent) if !parent.as_os_str().is_empty() => parent.join(tmp_name),
-            _ => PathBuf::from(tmp_name),
-        };
+        let staging = atomic::staging_path(&path)?;
         let file = File::create(&staging)?;
         Ok(AccessLogWriter {
             path,
@@ -234,18 +227,10 @@ impl AccessLogWriter {
     /// then fsyncs the directory (best effort — some filesystems
     /// refuse). Idempotent: a second call is a no-op.
     pub fn finish(&self) -> io::Result<()> {
-        let file = match self.file.lock().take() {
-            Some(file) => file,
-            None => return Ok(()),
-        };
-        file.sync_all()?;
-        fs::rename(&self.staging, &self.path)?;
-        if let Some(parent) = self.path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
+        match self.file.lock().take() {
+            Some(file) => atomic::commit(file, &self.staging, &self.path),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 

@@ -23,6 +23,7 @@
 #![deny(missing_docs)]
 
 pub mod access;
+pub mod atomic;
 pub mod ingest;
 pub mod metrics;
 pub mod report;

@@ -77,8 +77,9 @@ impl FetchResult {
 }
 
 /// Anything that can load a URL and report where it ended up — or fail at
-/// the transport layer trying.
-pub trait WebClient {
+/// the transport layer trying. `Sync`, so one client can serve every crawl
+/// worker.
+pub trait WebClient: Sync {
     /// Loads `url`, following refreshes and redirects, and reports the
     /// final URL and favicon. `Err` means the transport failed (the
     /// request never completed); content-level dead ends are `Ok` results

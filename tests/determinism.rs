@@ -6,6 +6,7 @@
 use borges_core::pipeline::{Borges, FeatureSet};
 use borges_llm::SimLlm;
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
+use borges_telemetry::Telemetry;
 use borges_websim::SimWebClient;
 
 fn full_run(seed: u64) -> (String, Vec<usize>) {
@@ -43,7 +44,7 @@ fn different_seeds_differ() {
 #[test]
 fn parallel_mappings_match_sequential_exactly() {
     // The threaded fan-out must be invisible in the output: for every
-    // feature combination and any thread count, mappings_parallel is
+    // feature combination and any thread count, `mappings` is
     // byte-identical to the sequential replay.
     let world = SyntheticInternet::generate(&GeneratorConfig::tiny(21));
     let llm = SimLlm::new(21);
@@ -57,7 +58,7 @@ fn parallel_mappings_match_sequential_exactly() {
     let sequential: Vec<_> = combinations.iter().map(|&f| borges.mapping(f)).collect();
     for threads in [1, 2, 7] {
         assert_eq!(
-            borges.mappings_parallel(&combinations, threads),
+            borges.mappings(&combinations, threads, &Telemetry::disabled()),
             sequential,
             "parallel materialization diverged at {threads} threads"
         );

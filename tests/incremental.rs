@@ -29,13 +29,14 @@ fn full(world: &SyntheticInternet, report: &ScrapeReport) -> Borges {
 
 fn remap(world: &SyntheticInternet, report: &ScrapeReport, state: &SnapshotState) -> Borges {
     let llm = SimLlm::flawless();
-    Borges::remap(
+    Borges::remap_parallel(
         &world.whois,
         &world.pdb,
         report,
         &llm,
         NerConfig::default(),
         state,
+        1,
     )
 }
 

@@ -175,7 +175,8 @@ fn capture_access_records(threads: usize, borges: Borges) -> (Vec<AccessRecord>,
         })),
         slow: None,
     };
-    let server = Server::start_with(config(threads), borges, None, hooks).expect("bind loopback");
+    let server =
+        Server::start_with(config(threads), borges, None, hooks, None).expect("bind loopback");
     let client = ServeClient::new(server.local_addr());
     let digest = healthz_digest(client.get("/healthz").expect("healthz").body_text());
     for probe in PROBES {
@@ -367,7 +368,7 @@ fn shed_responses_carry_request_ids_and_digest_bearing_records() {
         read_timeout: Duration::from_millis(700),
         ..ServerConfig::default()
     };
-    let server = Server::start_with(config, compile(), None, hooks).expect("bind loopback");
+    let server = Server::start_with(config, compile(), None, hooks, None).expect("bind loopback");
     let addr = server.local_addr();
 
     // Plug the lone worker and the single queue slot with silent

@@ -1,6 +1,6 @@
 //! The streaming-ingest determinism contract, pinned end to end.
 //!
-//! `Borges::run_streaming` overlaps the crawl with NER and evidence
+//! A `Borges::build` on the streaming engine overlaps the crawl with NER and evidence
 //! compilation behind a bounded-concurrency, rate-limited scheduler —
 //! and must be **invisible** in every canonical output. Three contracts
 //! (DESIGN.md §14):
@@ -18,33 +18,60 @@
 //!    counts sum to the entry count.
 
 use borges_core::mapfile;
-use borges_core::ner::NerConfig;
-use borges_core::pipeline::{Borges, FeatureSet, StreamOptions};
-use borges_llm::{FlakyModel, SimLlm};
+use borges_core::pipeline::{Borges, BuildPlan, Engine, FeatureSet, Source, StreamOptions};
+use borges_llm::{ChatModel, FlakyModel, SimLlm};
 use borges_resilience::{EpisodePlan, RetryPolicy};
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
 use borges_telemetry::{ingest, RunReport, Telemetry, Verbosity};
-use borges_websim::{FlakyWebClient, Scraper, SimWebClient};
+use borges_websim::{FlakyWebClient, Scraper, SimWebClient, WebClient};
 
 fn world() -> SyntheticInternet {
     SyntheticInternet::generate(&GeneratorConfig::tiny(17))
 }
 
-fn opts(
+fn streaming_plan(
     workers: usize,
     max_in_flight: usize,
     per_host_rps: Option<f64>,
-    policy: Option<RetryPolicy>,
+    retry: Option<RetryPolicy>,
     threads: usize,
-) -> StreamOptions {
-    StreamOptions {
-        workers,
-        max_in_flight,
-        per_host_rps,
-        policy,
+) -> BuildPlan<'static> {
+    BuildPlan {
         threads,
-        ..StreamOptions::default()
+        retry,
+        engine: Engine::Streaming(StreamOptions {
+            workers,
+            max_in_flight,
+            per_host_rps,
+            ..StreamOptions::default()
+        }),
+        ..BuildPlan::default()
     }
+}
+
+fn staged_plan(retry: Option<RetryPolicy>) -> BuildPlan<'static> {
+    BuildPlan {
+        retry,
+        ..BuildPlan::default()
+    }
+}
+
+/// A build that crawls `world` through `web`.
+fn crawl(
+    world: &SyntheticInternet,
+    web: impl WebClient,
+    model: &dyn ChatModel,
+    plan: &BuildPlan<'_>,
+    tel: &Telemetry,
+) -> Borges {
+    Borges::build(
+        &world.whois,
+        &world.pdb,
+        Source::Crawl(&web),
+        model,
+        plan,
+        tel,
+    )
 }
 
 /// Everything the determinism contract compares: the canonical trace,
@@ -67,11 +94,11 @@ fn streaming_bare_run_is_byte_identical_to_staged() {
     let world = world();
     let llm = SimLlm::new(99);
     let tel = Telemetry::sim(Verbosity::Quiet);
-    let staged = Borges::run_traced(
-        &world.whois,
-        &world.pdb,
+    let staged = crawl(
+        &world,
         SimWebClient::browser(&world.web),
         &llm,
+        &staged_plan(None),
         &tel,
     );
     let reference = fingerprint(&staged, &tel);
@@ -85,12 +112,11 @@ fn streaming_bare_run_is_byte_identical_to_staged() {
             (3, 7, Some(2.0)),
         ] {
             let tel = Telemetry::sim(Verbosity::Quiet);
-            let streamed = Borges::run_streaming_traced(
-                &world.whois,
-                &world.pdb,
+            let streamed = crawl(
+                &world,
                 SimWebClient::browser(&world.web),
                 &llm,
-                &opts(workers, max_in_flight, rps, None, threads),
+                &streaming_plan(workers, max_in_flight, rps, None, threads),
                 &tel,
             );
             assert_eq!(
@@ -109,15 +135,14 @@ fn streaming_resilient_run_is_byte_identical_under_recoverable_chaos() {
     for seed in 1..=3u64 {
         let policy = RetryPolicy::standard(seed);
         let tel = Telemetry::sim(Verbosity::Quiet);
-        let staged = Borges::run_resilient_traced(
-            &world.whois,
-            &world.pdb,
+        let staged = crawl(
+            &world,
             FlakyWebClient::new(
                 SimWebClient::browser(&world.web),
                 EpisodePlan::calibrated(seed),
             ),
             &FlakyModel::new(SimLlm::flawless(), EpisodePlan::calibrated(seed ^ 0xFACE)),
-            policy,
+            &staged_plan(Some(policy)),
             &tel,
         );
         let reference = fingerprint(&staged, &tel);
@@ -127,15 +152,14 @@ fn streaming_resilient_run_is_byte_identical_under_recoverable_chaos() {
                 let tel = Telemetry::sim(Verbosity::Quiet);
                 let llm =
                     FlakyModel::new(SimLlm::flawless(), EpisodePlan::calibrated(seed ^ 0xFACE));
-                let streamed = Borges::run_streaming_traced(
-                    &world.whois,
-                    &world.pdb,
+                let streamed = crawl(
+                    &world,
                     FlakyWebClient::new(
                         SimWebClient::browser(&world.web),
                         EpisodePlan::calibrated(seed),
                     ),
                     &llm,
-                    &opts(workers, max_in_flight, rps, Some(policy), threads),
+                    &streaming_plan(workers, max_in_flight, rps, Some(policy), threads),
                     &tel,
                 );
                 assert_eq!(
@@ -178,15 +202,15 @@ fn streaming_outage_runs_account_for_every_loss() {
     .full();
     for seed in 1..=3u64 {
         let llm = FlakyModel::new(SimLlm::flawless(), EpisodePlan::with_outages(seed ^ 0xFACE));
-        let degraded = Borges::run_streaming(
-            &world.whois,
-            &world.pdb,
+        let degraded = crawl(
+            &world,
             FlakyWebClient::new(
                 SimWebClient::browser(&world.web),
                 EpisodePlan::with_outages(seed),
             ),
             &llm,
-            &opts(4, 4, Some(10.0), Some(RetryPolicy::none()), 1),
+            &streaming_plan(4, 4, Some(10.0), Some(RetryPolicy::none()), 1),
+            &Telemetry::disabled(),
         );
         let coverage = degraded.coverage();
         assert!(
@@ -219,12 +243,11 @@ fn streaming_scheduler_ledger_rows_balance_and_roundtrip() {
     let max_in_flight = 3;
     // A tight rate limit forces throttle stalls (virtual ones — pacing
     // runs on a SimClock, so the test never actually sleeps).
-    let streamed = Borges::run_streaming_traced(
-        &world.whois,
-        &world.pdb,
+    let streamed = crawl(
+        &world,
         SimWebClient::browser(&world.web),
         &llm,
-        &opts(4, max_in_flight, Some(0.5), None, 1),
+        &streaming_plan(4, max_in_flight, Some(0.5), None, 1),
         &tel,
     );
     let entries = world.pdb.nets().count() as u64;
@@ -275,12 +298,12 @@ fn from_scrape_streaming_matches_from_scrape() {
     let report = scraper.crawl(world.pdb.nets().map(|n| (n.asn, n.website.as_str())));
 
     let tel = Telemetry::sim(Verbosity::Quiet);
-    let staged = Borges::from_scrape_traced(
+    let staged = Borges::build(
         &world.whois,
         &world.pdb,
-        &report,
+        Source::Scraped(&report),
         &llm,
-        NerConfig::default(),
+        &staged_plan(None),
         &tel,
     );
     let reference = fingerprint(&staged, &tel);
@@ -291,13 +314,12 @@ fn from_scrape_streaming_matches_from_scrape() {
 
     for threads in [1, 4] {
         let tel = Telemetry::sim(Verbosity::Quiet);
-        let streamed = Borges::from_scrape_streaming_traced(
+        let streamed = Borges::build(
             &world.whois,
             &world.pdb,
-            &report,
+            Source::Scraped(&report),
             &llm,
-            NerConfig::default(),
-            &opts(4, 4, None, None, threads),
+            &streaming_plan(4, 4, None, None, threads),
             &tel,
         );
         assert_eq!(

@@ -7,38 +7,50 @@
 //! runs. Worker scheduling is allowed to show up only in runtime spans
 //! and in the `workers` ledger rows — never in anything canonical.
 
-use borges_core::pipeline::{Borges, FeatureSet};
-use borges_llm::SimLlm;
+use borges_core::pipeline::{Borges, BuildPlan, FeatureSet, Source};
+use borges_llm::{ChatModel, SimLlm};
 use borges_resilience::RetryPolicy;
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
 use borges_telemetry::{RunReport, Telemetry, Verbosity};
-use borges_websim::SimWebClient;
+use borges_websim::{SimWebClient, WebClient};
+
+/// A build that crawls `world` through `web`.
+fn crawl(
+    world: &SyntheticInternet,
+    web: impl WebClient,
+    model: &dyn ChatModel,
+    plan: &BuildPlan<'_>,
+    tel: &Telemetry,
+) -> Borges {
+    Borges::build(
+        &world.whois,
+        &world.pdb,
+        Source::Crawl(&web),
+        model,
+        plan,
+        tel,
+    )
+}
+
+fn resilient(policy: RetryPolicy) -> BuildPlan<'static> {
+    BuildPlan {
+        retry: Some(policy),
+        ..BuildPlan::default()
+    }
+}
 
 /// Runs the full instrumented pipeline (run + the 16-combination sweep)
 /// and returns (canonical journal, metrics exposition, ledger JSON).
 fn traced_run(world: &SyntheticInternet, threads: usize) -> (String, String, String) {
     let llm = SimLlm::new(99);
     let tel = Telemetry::sim(Verbosity::Quiet);
-    let borges = if threads > 1 {
-        Borges::run_parallel_traced(
-            &world.whois,
-            &world.pdb,
-            SimWebClient::browser(&world.web),
-            &llm,
-            threads,
-            &tel,
-        )
-    } else {
-        Borges::run_traced(
-            &world.whois,
-            &world.pdb,
-            SimWebClient::browser(&world.web),
-            &llm,
-            &tel,
-        )
+    let plan = BuildPlan {
+        threads,
+        ..BuildPlan::default()
     };
+    let borges = crawl(world, SimWebClient::browser(&world.web), &llm, &plan, &tel);
     let combos = FeatureSet::all_combinations();
-    borges.mappings_parallel_traced(&combos, threads, &tel);
+    borges.mappings(&combos, threads, &tel);
     let report = borges.run_report(&tel, "test", threads);
     (
         tel.trace_jsonl_canonical(),
@@ -80,14 +92,14 @@ fn raw_journals_do_differ_across_schedules_where_allowed() {
     let llm = SimLlm::new(99);
     let count_runtime = |threads: usize| {
         let tel = Telemetry::sim(Verbosity::Quiet);
-        let borges = Borges::run_traced(
-            &world.whois,
-            &world.pdb,
+        let borges = crawl(
+            &world,
             SimWebClient::browser(&world.web),
             &llm,
+            &BuildPlan::default(),
             &tel,
         );
-        borges.mappings_parallel_traced(&FeatureSet::all_combinations(), threads, &tel);
+        borges.mappings(&FeatureSet::all_combinations(), threads, &tel);
         tel.trace_records()
             .iter()
             .filter(|r| r.kind == borges_telemetry::SpanKind::Runtime)
@@ -113,12 +125,11 @@ fn resilient_run_ledger_is_deterministic_per_seed() {
             EpisodePlan::calibrated(seed),
         );
         let model = FlakyModel::new(&llm, EpisodePlan::calibrated(seed ^ 1));
-        let borges = Borges::run_resilient_traced(
-            &world.whois,
-            &world.pdb,
+        let borges = crawl(
+            &world,
             web,
             &model,
-            RetryPolicy::standard(seed),
+            &resilient(RetryPolicy::standard(seed)),
             &tel,
         );
         (
@@ -152,12 +163,11 @@ fn resilient_metrics_mirror_resilience_stats() {
     let world = SyntheticInternet::generate(&GeneratorConfig::tiny(17));
     let llm = SimLlm::new(99);
     let tel = Telemetry::sim(Verbosity::Quiet);
-    let borges = Borges::run_resilient_traced(
-        &world.whois,
-        &world.pdb,
+    let borges = crawl(
+        &world,
         SimWebClient::browser(&world.web),
         &llm,
-        RetryPolicy::standard(5),
+        &resilient(RetryPolicy::standard(5)),
         &tel,
     );
     let snap = tel.metrics_snapshot();

@@ -134,7 +134,7 @@ fn start_with_chain(dir: &std::path::Path, threads: usize, epoch_capacity: usize
         read_timeout: Duration::from_millis(700),
         ..ServerConfig::default()
     };
-    Server::start_with_timeline(
+    Server::start_with(
         config,
         boot,
         None,
