@@ -6,7 +6,7 @@ use borges_core::impact::OrgNamer;
 use borges_core::mapfile;
 use borges_core::orgfactor::organization_factor;
 use borges_core::pipeline::{Borges, BuildPlan, Engine, FeatureSet, Source, StreamOptions};
-use borges_core::{AsOrgMapping, SnapshotState};
+use borges_core::AsOrgMapping;
 use borges_llm::{CachingModel, ChatModel, FlakyModel, SimLlm};
 use borges_resilience::{EpisodePlan, RetryPolicy};
 use borges_serve::{Reloader, Server, ServerConfig};
@@ -37,7 +37,7 @@ USAGE:
              [--streaming] [--max-in-flight N] [--per-host-rps R]
              [--fault-rate R] [--retries N] [--chaos-seed N]
              [--trace-out FILE] [--metrics-out FILE] [--report-out FILE]
-             [--state-out DIR] [--store-out FILE] [--timeline DIR]
+             [--store-out FILE] [--timeline DIR]
       Run the pipeline over a bundle and write the mapping.
       LIST is comma-separated from: oid_p, na, rr, favicons.
       --threads defaults to the machine's available parallelism; it
@@ -64,29 +64,29 @@ USAGE:
       across thread counts); --metrics-out writes the counters and
       duration histograms in Prometheus exposition format;
       --report-out writes the unified run ledger as JSON.
-      --state-out persists the compiled snapshot state (interner slots,
-      edge segments, fingerprints, LLM reply memos) into DIR for a
-      later incremental `borges remap`.
       --store-out persists the whole compiled world as a checksummed,
-      content-addressed store artifact that `borges serve --store`
-      cold-starts from without recompiling (see `borges store`).
+      content-addressed store artifact: `borges serve --store`
+      cold-starts from it without recompiling, and its snapshot state
+      (interner slots, edge segments, fingerprints, LLM reply memos)
+      is the base of a later incremental `borges remap --base`.
       --timeline appends the compiled world to the append-only timeline
       at DIR as its next epoch: the epoch is stamped into the world
       (so it participates in the content address), the artifact lands
       under DIR/worlds/, a delta against the parent epoch under
       DIR/deltas/, and the chain manifest DIR/timeline.json is
       rewritten atomically (see `borges timeline`).
-  borges remap --data DIR --base-state DIR --out FILE [--out-state DIR]
+  borges remap --data DIR --base FILE --out FILE
                [--features all|none|LIST] [--seed N] [--threads N]
                [--trace-out FILE] [--metrics-out FILE] [--report-out FILE]
                [--store-out FILE] [--timeline DIR]
       Incrementally re-map a (possibly changed) bundle against the
-      state persisted by a previous `map --state-out` / `remap
-      --out-state`: the web is re-crawled, LLM answers replay from the
-      memo for records whose text is unchanged, and edge segments with
+      store artifact FILE of an earlier run (its --store-out, or a
+      timeline's worlds/<digest>.world), checked like `store verify`:
+      the web is re-crawled, LLM answers replay from the memo for
+      records whose text is unchanged, and edge segments with
       untouched fingerprints are reused verbatim. The mapping written
-      is byte-identical to a full `map` of the same bundle. --out-state
-      persists the updated state so remaps chain across snapshots.
+      is byte-identical to a full `map` of the same bundle; remaps
+      chain through --store-out.
       --timeline appends the remapped world as the timeline's next
       epoch, exactly as `map --timeline` does — successive snapshots
       remapped with the same timeline grow one verifiable chain.
@@ -511,7 +511,6 @@ fn map(opts: &Options) -> Result<String, CliError> {
         "trace-out",
         "metrics-out",
         "report-out",
-        "state-out",
         "store-out",
         "timeline",
         "v",
@@ -590,8 +589,7 @@ fn map(opts: &Options) -> Result<String, CliError> {
         borges.scrape_stats.reachable_urls,
         borges.ner.stats.llm_calls
     ));
-    let (mapping, timeline_row) =
-        publish(opts, &mut borges, &plan, features, &llm, &tel, "state-out")?;
+    let (mapping, timeline_row) = publish(opts, &mut borges, &plan, features, &llm, &tel)?;
     Ok(format!(
         "{}: {} ASNs in {} organizations (features: {})\n{}{}",
         out,
@@ -604,8 +602,8 @@ fn map(opts: &Options) -> Result<String, CliError> {
 }
 
 /// Everything `map` and `remap` do after the build: write the mapfile
-/// and, per flag, the snapshot state (`state_flag`), the timeline
-/// epoch, the store artifact, and the trace, metrics and run ledger.
+/// and, per flag, the timeline epoch, the store artifact, and the
+/// trace, metrics and run ledger.
 /// Every output flag is parsed before anything is written. Returns the
 /// mapping and the timeline summary line (empty without `--timeline`).
 fn publish(
@@ -615,10 +613,8 @@ fn publish(
     features: FeatureSet,
     llm: &CachingModel<SimLlm>,
     tel: &Telemetry,
-    state_flag: &str,
 ) -> Result<(AsOrgMapping, String), CliError> {
     let out = opts.required("out")?;
-    let state_dir = opts.optional(state_flag)?;
     let timeline_dir = opts.optional("timeline")?;
     let store_out = opts.optional("store-out")?;
     let trace_out = opts.optional("trace-out")?;
@@ -630,10 +626,6 @@ fn publish(
         .pop()
         .expect("one feature set in, one mapping out");
     write_artifact_file(out, mapfile::serialize(&mapping))?;
-    if let Some(dir) = state_dir {
-        write_state(borges, dir)?;
-        tel.debug(format!("snapshot state written to {dir}"));
-    }
     // Timeline append runs before --store-out: it stamps the chain
     // epoch into the world, and the store artifact must carry it too.
     let mut timeline = None;
@@ -686,9 +678,6 @@ fn publish(
     Ok((mapping, timeline_row))
 }
 
-/// File the snapshot state lives under inside a state directory.
-const STATE_FILE: &str = "state.json";
-
 /// Writes a CLI output artifact crash-safely: staged to a sibling
 /// temporary file, fsynced, then atomically renamed into place. A
 /// crash mid-write leaves either the previous file or nothing — never
@@ -698,28 +687,11 @@ fn write_artifact_file(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> Resul
         .map_err(|e| CliError::Failed(Box::new(e)))
 }
 
-fn write_state(borges: &Borges, dir: &str) -> Result<(), CliError> {
-    let dir = Path::new(dir);
-    std::fs::create_dir_all(dir).map_err(|e| CliError::Failed(Box::new(e)))?;
-    write_artifact_file(
-        dir.join(STATE_FILE),
-        borges.snapshot_state().to_json_pretty(),
-    )
-}
-
-fn load_state(dir: &str) -> Result<SnapshotState, CliError> {
-    let path = Path::new(dir).join(STATE_FILE);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| CliError::Usage(format!("--base-state: {}: {e}", path.display())))?;
-    SnapshotState::from_json(&text).map_err(|e| CliError::Usage(format!("{}: {e}", path.display())))
-}
-
 fn remap(opts: &Options) -> Result<String, CliError> {
     opts.allow_only(&[
         "data",
-        "base-state",
+        "base",
         "out",
-        "out-state",
         "features",
         "seed",
         "threads",
@@ -738,7 +710,13 @@ fn remap(opts: &Options) -> Result<String, CliError> {
     let threads = parse_threads(opts)?;
 
     let tel = Telemetry::sim(verbosity_of(opts));
-    let state = load_state(opts.required("base-state")?)?;
+    // Any store artifact, checked exactly as `store verify` checks it;
+    // only its snapshot state seeds the remap.
+    let base = opts.required("base")?;
+    let state = borges_store::load_artifact(Path::new(base))
+        .map_err(|e| CliError::Usage(format!("--base {base}: corrupt ({}): {e}", e.kind())))?
+        .world
+        .state;
     tel.verbose(format!("loading bundle from {data}"));
     let bundle = DatasetBundle::load(Path::new(data)).map_err(CliError::failed)?;
 
@@ -777,8 +755,7 @@ fn remap(opts: &Options) -> Result<String, CliError> {
     let dirty_records = d.records.dirty();
     let llm_calls_saved = d.llm_calls_saved();
 
-    let (mapping, timeline_row) =
-        publish(opts, &mut borges, &plan, features, &llm, &tel, "out-state")?;
+    let (mapping, timeline_row) = publish(opts, &mut borges, &plan, features, &llm, &tel)?;
     Ok(format!(
         "{}: {} ASNs in {} organizations (features: {})\n\
          delta: {} dirty records; {} segments ({} edges) reused; {} LLM calls saved\n{}",
@@ -1917,7 +1894,7 @@ mod tests {
                 "remap",
                 "--data",
                 "/no/such",
-                "--base-state",
+                "--base",
                 "s",
                 "--out",
                 "y",
@@ -2050,32 +2027,32 @@ mod tests {
         .unwrap();
 
         let full_map = dir.join("full.map");
-        let state0 = dir.join("state0");
+        let state0 = dir.join("state0.world");
         run(&args(&[
             "map",
             "--data",
             data.to_str().unwrap(),
             "--out",
             full_map.to_str().unwrap(),
-            "--state-out",
+            "--store-out",
             state0.to_str().unwrap(),
             "-q",
         ]))
         .unwrap();
-        assert!(state0.join("state.json").exists());
+        assert!(state0.exists());
 
         let remap_map = dir.join("remap.map");
-        let state1 = dir.join("state1");
+        let state1 = dir.join("state1.world");
         let report = dir.join("remap.report.json");
         let out = run(&args(&[
             "remap",
             "--data",
             data.to_str().unwrap(),
-            "--base-state",
+            "--base",
             state0.to_str().unwrap(),
             "--out",
             remap_map.to_str().unwrap(),
-            "--out-state",
+            "--store-out",
             state1.to_str().unwrap(),
             "--report-out",
             report.to_str().unwrap(),
@@ -2109,7 +2086,7 @@ mod tests {
             "remap",
             "--data",
             data.to_str().unwrap(),
-            "--base-state",
+            "--base",
             state1.to_str().unwrap(),
             "--out",
             remap2.to_str().unwrap(),
@@ -2126,32 +2103,169 @@ mod tests {
     #[test]
     fn remap_rejects_a_missing_or_corrupt_state() {
         let dir = tmpdir("remap-bad-state");
-        std::fs::create_dir_all(&dir).unwrap();
-        let err = run(&args(&[
-            "remap",
-            "--data",
-            "x",
-            "--base-state",
-            dir.to_str().unwrap(),
+        let data = dir.join("world");
+        run(&args(&[
+            "generate",
             "--out",
-            "y",
+            data.to_str().unwrap(),
+            "--scale",
+            "tiny",
+            "--seed",
+            "5",
+            "-q",
         ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("state.json"), "{err}");
+        .unwrap();
+        let good = dir.join("good.world");
+        run(&args(&[
+            "map",
+            "--data",
+            data.to_str().unwrap(),
+            "--out",
+            dir.join("good.map").to_str().unwrap(),
+            "--store-out",
+            good.to_str().unwrap(),
+            "-q",
+        ]))
+        .unwrap();
+        let mut bytes = std::fs::read(&good).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        let flipped = dir.join("flipped.world");
+        std::fs::write(&flipped, &bytes).unwrap();
+        let flipped_kind = borges_store::verify_artifact(&flipped).unwrap_err().kind();
 
-        std::fs::write(dir.join("state.json"), "{not json").unwrap();
-        let err = run(&args(&[
-            "remap",
-            "--data",
-            "x",
-            "--base-state",
-            dir.to_str().unwrap(),
-            "--out",
-            "y",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        let remap_from = |base: &std::path::Path| {
+            run(&args(&[
+                "remap",
+                "--data",
+                data.to_str().unwrap(),
+                "--base",
+                base.to_str().unwrap(),
+                "--out",
+                dir.join("never.map").to_str().unwrap(),
+            ]))
+            .unwrap_err()
+        };
+        for (base, kind) in [
+            (dir.join("absent.world"), "missing"),
+            (flipped, flipped_kind),
+            (
+                std::path::PathBuf::from(STORE_V1_FIXTURE),
+                "schema_mismatch",
+            ),
+        ] {
+            let err = remap_from(&base);
+            assert!(matches!(err, CliError::Usage(_)), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains("corrupt"), "{msg}");
+            assert!(msg.contains(&format!("({kind})")), "{msg}");
+        }
+        assert!(!dir.join("never.map").exists(), "no output from a bad base");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn remap_from_a_store_artifact_or_a_timeline_world_is_identical() {
+        let dir = tmpdir("remap-base-kinds");
+        let data = dir.join("world");
+        run(&args(&[
+            "generate",
+            "--out",
+            data.to_str().unwrap(),
+            "--scale",
+            "tiny",
+            "--seed",
+            "5",
+            "-q",
+        ]))
+        .unwrap();
+        // The same compile, persisted twice: as a plain `--store-out`
+        // artifact (epoch 0) and as timeline epoch 1 (the second
+        // append), so the two base files differ only in the stamped
+        // epoch and hence the content address.
+        let store = dir.join("t0.world");
+        let timeline = dir.join("tl");
+        let t0_map = dir.join("t0.map");
+        let map_into_timeline = |extra: &[&str]| {
+            let mut cmd = vec![
+                "map",
+                "--data",
+                data.to_str().unwrap(),
+                "--out",
+                t0_map.to_str().unwrap(),
+                "--timeline",
+                timeline.to_str().unwrap(),
+                "-q",
+            ];
+            cmd.extend_from_slice(extra);
+            run(&args(&cmd)).unwrap();
+        };
+        map_into_timeline(&["--store-out", store.to_str().unwrap()]);
+        map_into_timeline(&[]);
+        let tl = borges_timeline::Timeline::open(&timeline).unwrap();
+        let epoch_world = tl.world_path(&tl.links()[1]);
+        assert_ne!(
+            std::fs::read(&store).unwrap(),
+            std::fs::read(&epoch_world).unwrap(),
+            "the epoch stamp must make the two bases distinct files"
+        );
+
+        let outputs = ["map", "trace", "metrics", "report"];
+        let remap_from = |base: &std::path::Path, name: &str| -> Vec<Vec<u8>> {
+            let path = |kind: &str| dir.join(format!("{name}.{kind}"));
+            run(&args(&[
+                "remap",
+                "--data",
+                data.to_str().unwrap(),
+                "--base",
+                base.to_str().unwrap(),
+                "--threads",
+                "2",
+                "--out",
+                path("map").to_str().unwrap(),
+                "--trace-out",
+                path("trace").to_str().unwrap(),
+                "--metrics-out",
+                path("metrics").to_str().unwrap(),
+                "--report-out",
+                path("report").to_str().unwrap(),
+                "-q",
+            ]))
+            .unwrap();
+            outputs
+                .iter()
+                .map(|kind| std::fs::read(path(kind)).unwrap())
+                .collect()
+        };
+        let from_store = remap_from(&store, "from-store");
+        let from_epoch = remap_from(&epoch_world, "from-epoch");
+        for (kind, (a, b)) in outputs.iter().zip(from_store.iter().zip(&from_epoch)) {
+            assert!(a == b, "remap {kind} differs between the two bases");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retired_state_flags_are_usage_errors() {
+        for cmd in [
+            vec!["map", "--data", "x", "--out", "y", "--state-out", "s"],
+            vec!["remap", "--data", "x", "--out", "y", "--base-state", "s"],
+            vec![
+                "remap",
+                "--data",
+                "x",
+                "--base",
+                "b",
+                "--out",
+                "y",
+                "--out-state",
+                "s",
+            ],
+            vec!["remap", "--data", "x", "--out", "y"],
+        ] {
+            let err = run(&args(&cmd)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{cmd:?} → {err}");
+        }
     }
 
     #[test]
@@ -2198,7 +2312,7 @@ mod tests {
                 "remap",
                 "--data",
                 "x",
-                "--base-state",
+                "--base",
                 "s",
                 "--out",
                 "y",
@@ -2221,7 +2335,7 @@ mod tests {
                 "remap",
                 "--data",
                 "x",
-                "--base-state",
+                "--base",
                 "s",
                 "--out",
                 "y",
@@ -2544,14 +2658,14 @@ mod tests {
         .unwrap();
 
         let timeline = dir.join("tl");
-        let state = dir.join("state");
+        let state = dir.join("m0.world");
         let out = run(&args(&[
             "map",
             "--data",
             data.to_str().unwrap(),
             "--out",
             dir.join("m0.map").to_str().unwrap(),
-            "--state-out",
+            "--store-out",
             state.to_str().unwrap(),
             "--timeline",
             timeline.to_str().unwrap(),
@@ -2563,7 +2677,7 @@ mod tests {
             "remap",
             "--data",
             evolved.to_str().unwrap(),
-            "--base-state",
+            "--base",
             state.to_str().unwrap(),
             "--out",
             dir.join("m1.map").to_str().unwrap(),

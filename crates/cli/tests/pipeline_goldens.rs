@@ -90,15 +90,15 @@ fn every_engine_reproduces_the_recorded_digests() {
         std::env::temp_dir().join(format!("borges-pipeline-goldens-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let world = dir.join("world");
-    let state = dir.join("state");
+    let base = dir.join("threads1.store");
     let world_s = world.to_str().unwrap();
-    let state_s = state.to_str().unwrap();
+    let base_s = base.to_str().unwrap();
     run(&[
         "generate", "--out", world_s, "--scale", "tiny", "--seed", "5",
     ]);
 
     let modes: Vec<(&str, Vec<&str>)> = vec![
-        ("threads1", vec!["--threads", "1", "--state-out", state_s]),
+        ("threads1", vec!["--threads", "1"]),
         ("threads4", vec!["--threads", "4"]),
         ("chaos1", [&["--threads", "1"][..], &CHAOS].concat()),
         ("chaos4", [&["--threads", "4"][..], &CHAOS].concat()),
@@ -126,8 +126,8 @@ fn every_engine_reproduces_the_recorded_digests() {
         "-q",
         "--data",
         world_s,
-        "--base-state",
-        state_s,
+        "--base",
+        base_s,
         "--threads",
         "4",
     ];

@@ -17,12 +17,13 @@
 //!   [`merge_feature`] replays only the segments whose member
 //!   fingerprint changed and retains the rest verbatim — the per-feature
 //!   union-find replay the tentpole asks for.
-//! * **Persisted state** ([`SnapshotState`]) — the serde wire form of
-//!   the compiled evidence (interner slots, segments, fingerprints, and
-//!   the LLM reply memos), written by `map --state-out` and reloaded by
-//!   `remap --base-state`.
+//! * **Persisted state** ([`SnapshotState`]) — the wire form of the
+//!   compiled evidence (interner slots, segments, fingerprints, and the
+//!   LLM reply memos). It persists only inside a store artifact
+//!   (`CompiledWorld::state`): `map --store-out` writes it and
+//!   `remap --base` reloads it.
 //!
-//! Fingerprints are 64-bit FNV-1a, like [`borges_types::FaviconHash`]:
+//! Fingerprints are the shared 64-bit FNV-1a of [`borges_types::hash`]:
 //! fast, dependency-free, and collision-safe at the paper's scale. The
 //! threat model is accidental collision between honest records, not
 //! adversarial preimages. `std::hash` is deliberately not used — its
@@ -32,14 +33,11 @@ use crate::ner::{NerMemoEntry, NerResult};
 use crate::web::favicon::{FaviconInference, FaviconMemo};
 use crate::web::rr::RrInference;
 use borges_peeringdb::{PdbNetwork, PdbOrganization, PdbSnapshot};
+use borges_types::hash::{fnv1a_extend, FNV1A_OFFSET};
 use borges_types::{Asn, AsnInterner, FaviconHash, WhoisOrgId};
 use borges_websim::{ScrapeReport, ScrapedSite};
 use borges_whois::{AutNum, WhoisOrg, WhoisRegistry};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// An incremental FNV-1a (64-bit) fingerprint builder with
 /// length-prefixed field framing, so `("ab", "c")` and `("a", "bc")`
@@ -50,14 +48,11 @@ pub struct Fingerprinter(u64);
 impl Fingerprinter {
     /// A fresh fingerprint at the FNV offset basis.
     pub fn new() -> Self {
-        Fingerprinter(FNV_OFFSET)
+        Fingerprinter(FNV1A_OFFSET)
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
+        self.0 = fnv1a_extend(self.0, bytes);
     }
 
     /// Mixes in a `u64`.
@@ -451,7 +446,7 @@ pub const SNAPSHOT_STATE_SCHEMA: &str = "borges.snapshot_state.v1";
 
 /// One interner slot: the ASN and whether it is live (tombstones are
 /// persisted too — they hold dense ids that must not be reassigned).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotRecord {
     /// The ASN occupying the slot.
     pub asn: u32,
@@ -460,7 +455,7 @@ pub struct SlotRecord {
 }
 
 /// One dense edge on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeRecord {
     /// First endpoint (dense id).
     pub a: u32,
@@ -470,7 +465,7 @@ pub struct EdgeRecord {
 
 /// One edge segment on the wire. Non-string keys (PeeringDB org ids,
 /// NER subject ASNs, favicon hashes) are stringified decimals.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentRecord {
     /// The segment's source key.
     pub key: String,
@@ -481,7 +476,7 @@ pub struct SegmentRecord {
 }
 
 /// One `(key, fingerprint)` pair of a source's record map.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyFp {
     /// The record key (stringified when not naturally a string).
     pub key: String,
@@ -491,7 +486,7 @@ pub struct KeyFp {
 
 /// One memoized NER reply: the subject, the guard fingerprint of its
 /// `notes`/`aka` text, and the parsed (pre-filter) finding ASNs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NerMemoRecord {
     /// The subject ASN.
     pub asn: u32,
@@ -504,7 +499,7 @@ pub struct NerMemoRecord {
 /// One memoized favicon classifier reply: the favicon, the guard
 /// fingerprint of the URL list sent, and the parsed verdict
 /// (`named: None` is "I don't know").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaviconMemoRecord {
     /// The favicon's raw 64-bit hash.
     pub favicon: u64,
@@ -516,12 +511,12 @@ pub struct FaviconMemoRecord {
 
 /// The persisted compiled state of one Borges run: interner slots,
 /// per-feature edge segments, per-record source fingerprints, and the
-/// LLM reply memos. Written by `map --state-out`, reloaded by
-/// `remap --base-state`. The OID_W base closure is *not* persisted —
+/// LLM reply memos. Persisted as the `state` of a store artifact's
+/// compiled world, reloaded by `remap --base`. The OID_W base closure is *not* persisted —
 /// it is rebuilt from the OID_W segment edges on load, which is cheap
 /// and sidesteps the fact that a union-find cannot un-union a retired
 /// bridge ASN.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SnapshotState {
     /// Schema tag ([`SNAPSHOT_STATE_SCHEMA`]).
     pub schema: String,
@@ -679,25 +674,10 @@ impl SnapshotState {
         }
     }
 
-    /// Serializes to pretty JSON.
-    pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot states always serialize")
-    }
-
-    /// Parses and validates a persisted state: the schema tag must match
-    /// and every stringified numeric key must parse back.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let state: SnapshotState =
-            serde_json::from_str(text).map_err(|e| format!("malformed snapshot state: {e}"))?;
-        state.validate()?;
-        Ok(state)
-    }
-
     /// The structural invariants every persisted state must satisfy
     /// before any typed accessor is trusted: the schema tag matches and
-    /// every stringified numeric key parses back. Shared between
-    /// [`SnapshotState::from_json`] and the binary store's decoder, so
-    /// both load paths reject exactly the same malformed states.
+    /// every stringified numeric key parses back. The binary
+    /// store's decoder runs it on every loaded world.
     pub fn validate(&self) -> Result<(), String> {
         if self.schema != SNAPSHOT_STATE_SCHEMA {
             return Err(format!(
@@ -980,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn state_json_roundtrip() {
+    fn state_build_round_trips_through_typed_accessors() {
         let interner = {
             let mut i = AsnInterner::new([a(10), a(20)]);
             i.retire(a(20));
@@ -1013,29 +993,26 @@ mod tests {
         );
         let state =
             SnapshotState::build(&interner, &oid_w, &[], &[], &[], &[], &fps, &ner, &favicon);
-        let back = SnapshotState::from_json(&state.to_json_pretty()).unwrap();
-        assert_eq!(back, state);
-        let slots: Vec<(Asn, bool)> = back.slot_pairs().collect();
+        state.validate().unwrap();
+        let slots: Vec<(Asn, bool)> = state.slot_pairs().collect();
         assert_eq!(slots, vec![(a(10), true), (a(20), false), (a(5), true)]);
-        assert_eq!(back.prior_oid_w()["ORG-1"].edges, vec![(0, 2)]);
-        assert_eq!(back.fingerprints(), fps);
-        assert_eq!(back.ner_memo_map()[&a(10)].findings, vec![a(5)]);
+        assert_eq!(state.prior_oid_w()["ORG-1"].edges, vec![(0, 2)]);
+        assert_eq!(state.fingerprints(), fps);
+        assert_eq!(state.ner_memo_map()[&a(10)].findings, vec![a(5)]);
         assert_eq!(
-            back.favicon_memo_map()[&FaviconHash::from_raw(9)].named,
+            state.favicon_memo_map()[&FaviconHash::from_raw(9)].named,
             Some("Claro".to_string())
         );
     }
 
     #[test]
-    fn from_json_rejects_wrong_schema_and_bad_keys() {
+    fn validate_rejects_wrong_schema_and_bad_keys() {
         let bogus = SnapshotState {
             schema: "bogus".to_string(),
             ..SnapshotState::default()
         };
-        let err = SnapshotState::from_json(&bogus.to_json_pretty()).unwrap_err();
+        let err = bogus.validate().unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
-        let err = SnapshotState::from_json("{not json").unwrap_err();
-        assert!(err.contains("malformed"), "{err}");
 
         let mut state = SnapshotState {
             schema: SNAPSHOT_STATE_SCHEMA.to_string(),
@@ -1046,7 +1023,7 @@ mod tests {
             fp: 0,
             edges: vec![],
         });
-        let err = SnapshotState::from_json(&state.to_json_pretty()).unwrap_err();
+        let err = state.validate().unwrap_err();
         assert!(err.contains("non-numeric"), "{err}");
     }
 }

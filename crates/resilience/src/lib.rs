@@ -56,30 +56,17 @@ pub use rate::{RateLimiterRegistry, TokenBucket};
 pub use retry::{RetryOutcome, RetryPolicy};
 pub use stats::ResilienceStats;
 
-/// splitmix64 finalizer — the same mixer `llmsim::FaultProfile` uses, so
+/// splitmix64 finalizer, re-exported from [`borges_types::hash`] so
 /// every seeded decision in the workspace shares one well-studied
 /// avalanche function.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
+pub use borges_types::hash::splitmix64;
 
 /// A stable (process- and platform-independent) FNV-1a hash of a byte
 /// string — the key function fault injectors and jitter use to decorrelate
 /// decisions per host / per request without depending on `std`'s
 /// randomized hasher.
 pub fn stable_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    splitmix64(h)
+    splitmix64(borges_types::hash::fnv1a(bytes))
 }
 
 #[cfg(test)]

@@ -12,15 +12,8 @@
 //! - **torn rename** — a crash between staging and rename: the
 //!   destination is simply absent, a stray staging sibling remains.
 
+use borges_types::hash::splitmix64;
 use std::path::{Path, PathBuf};
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A deterministic stream of corruption decisions.
 #[derive(Debug, Clone)]

@@ -15,6 +15,7 @@
 
 use crate::SyntheticInternet;
 use borges_peeringdb::PdbSnapshot;
+use borges_types::hash::{fnv1a, fnv1a_extend};
 use borges_types::{Asn, WhoisOrgId};
 use borges_whois::{AutNum, WhoisOrg, WhoisRegistry};
 
@@ -41,12 +42,7 @@ pub struct ChurnReport {
 
 /// FNV-1a over `(seed, asn)` — a stable, platform-independent selector.
 fn select_hash(seed: u64, asn: Asn) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in seed.to_le_bytes().iter().chain(&asn.value().to_le_bytes()) {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_extend(fnv1a(&seed.to_le_bytes()), &asn.value().to_le_bytes())
 }
 
 /// Produces the successor snapshot with roughly `percent` of ASNs

@@ -438,10 +438,23 @@ impl Timeline {
     }
 }
 
-/// Chain-shape validation: epochs strictly increase, genesis has no
-/// parent/delta, and every later link names its parent's digest.
+/// Chain-shape validation: every digest is a SHA-256 hex string (so a
+/// forged one such as `../x` never becomes a path), epochs strictly
+/// increase, genesis has no parent/delta, and every later link names
+/// its parent's digest.
 fn check_chain(links: &[TimelineLink]) -> Result<(), TimelineError> {
     for (i, link) in links.iter().enumerate() {
+        let digests = [
+            Some(&link.world_digest),
+            link.parent_digest.as_ref(),
+            link.delta_digest.as_ref(),
+        ];
+        if let Some(bad) = digests.into_iter().flatten().find(|d| !is_sha256_hex(d)) {
+            return Err(TimelineError::BrokenChain {
+                epoch: link.epoch,
+                detail: format!("digest {bad:?} is not 64 lowercase hex digits"),
+            });
+        }
         if i == 0 {
             if link.parent_digest.is_some() || link.delta_digest.is_some() {
                 return Err(TimelineError::BrokenChain {
@@ -472,6 +485,14 @@ fn check_chain(links: &[TimelineLink]) -> Result<(), TimelineError> {
         }
     }
     Ok(())
+}
+
+/// Whether `digest` is shaped like the store's SHA-256 hex addresses.
+fn is_sha256_hex(digest: &str) -> bool {
+    digest.len() == 64
+        && digest
+            .bytes()
+            .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
 }
 
 #[cfg(test)]
@@ -718,6 +739,38 @@ mod tests {
         // Garbage.
         std::fs::write(&manifest_path, b"not json").unwrap();
         assert_eq!(Timeline::open(&dir).unwrap_err().kind(), "corrupt");
+    }
+
+    #[test]
+    fn malformed_digests_fail_closed_before_any_path_is_built() {
+        let (dir, timeline) = three_epoch_timeline("bad-digest");
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let honest = std::fs::read_to_string(&manifest_path).unwrap();
+        let links = timeline.links();
+        for (field, digest) in [
+            ("world_digest", &links[2].world_digest),
+            ("parent_digest", links[1].parent_digest.as_ref().unwrap()),
+            ("delta_digest", links[2].delta_digest.as_ref().unwrap()),
+        ] {
+            for forged_digest in ["../../x", &digest.to_uppercase(), &digest[..63]] {
+                let forged = honest.replace(
+                    &format!("\"{field}\": \"{digest}\""),
+                    &format!("\"{field}\": \"{forged_digest}\""),
+                );
+                assert_ne!(honest, forged, "{field}");
+                std::fs::write(&manifest_path, &forged).unwrap();
+                let err = Timeline::open(&dir).unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    "broken_chain",
+                    "{field} = {forged_digest}: {err}"
+                );
+                assert!(err.to_string().contains("lowercase hex"), "{err}");
+            }
+        }
+        std::fs::write(&manifest_path, &honest).unwrap();
+        Timeline::open(&dir).unwrap().verify().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

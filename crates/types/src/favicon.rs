@@ -9,11 +9,9 @@
 //! The hash is **not** cryptographic; the threat model is accidental
 //! collision between honest favicons, not adversarial preimages.
 
+use crate::hash::fnv1a;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A 64-bit FNV-1a content hash identifying a favicon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -23,12 +21,7 @@ pub struct FaviconHash(u64);
 impl FaviconHash {
     /// Hashes raw favicon bytes.
     pub fn of_bytes(bytes: &[u8]) -> Self {
-        let mut h = FNV_OFFSET;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        FaviconHash(h)
+        FaviconHash(fnv1a(bytes))
     }
 
     /// Wraps a precomputed hash (used by the simulator, which synthesizes
@@ -69,7 +62,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_the_fnv_offset() {
-        assert_eq!(FaviconHash::of_bytes(&[]).raw(), FNV_OFFSET);
+        assert_eq!(FaviconHash::of_bytes(&[]).raw(), crate::hash::FNV1A_OFFSET);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!   (§6.2).
 //! * [`AsnInterner`] — dense `u32` ids over a fixed ASN universe, the
 //!   basis of the pipeline's allocation-free evidence replay.
+//! * [`hash`] — the one FNV-1a and the one splitmix64 every crate uses.
 //!
 //! The crate is dependency-light on purpose: everything downstream —
 //! substrate simulators, the pipeline, baselines and the evaluation harness —
@@ -31,6 +32,7 @@ pub mod asn;
 pub mod country;
 pub mod errors;
 pub mod favicon;
+pub mod hash;
 pub mod interner;
 pub mod orgid;
 pub mod url;

@@ -125,11 +125,16 @@ fn degenerate_full_replacement_delta_still_matches() {
 }
 
 #[test]
-fn snapshot_state_round_trips_through_json() {
+fn snapshot_state_round_trips_through_the_store() {
     let t0 = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
     let (t1, _) = churn(&t0, 10.0, 23);
-    let state = full(&t0, &crawl(&t0)).snapshot_state();
-    let reloaded = SnapshotState::from_json(&state.to_json_pretty()).expect("state parses back");
+    let compiled = full(&t0, &crawl(&t0));
+    let state = compiled.snapshot_state();
+    let bytes = borges_store::encode_world(&compiled.to_world());
+    let reloaded = borges_store::decode_world(&bytes)
+        .expect("artifact decodes back")
+        .world
+        .state;
     assert_eq!(reloaded, state);
     // A remap driven by the reloaded state produces the same bytes as
     // one driven by the in-memory original.
