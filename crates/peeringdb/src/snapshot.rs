@@ -12,7 +12,7 @@
 use crate::schema::{PdbNetwork, PdbOrganization};
 use borges_types::{Asn, PdbOrgId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -113,35 +113,39 @@ impl PdbSnapshotBuilder {
     }
 
     /// Validates and freezes the snapshot.
+    ///
+    /// The checks walk the records in input order, so the fault reported
+    /// is the first one in the input; the records are then moved, not
+    /// copied, into the indexes.
     pub fn build(self) -> Result<PdbSnapshot, SnapshotError> {
-        let mut orgs: BTreeMap<PdbOrgId, PdbOrganization> = BTreeMap::new();
-        for org in self.orgs {
-            if orgs.insert(org.id, org.clone()).is_some() {
+        let mut orgs: HashSet<PdbOrgId> = HashSet::with_capacity(self.orgs.len());
+        for org in &self.orgs {
+            if !orgs.insert(org.id) {
                 return Err(SnapshotError::DuplicateOrg(org.id));
             }
         }
-        let mut nets: BTreeMap<u64, PdbNetwork> = BTreeMap::new();
-        let mut by_asn: BTreeMap<Asn, u64> = BTreeMap::new();
+        let mut asns: HashSet<Asn> = HashSet::with_capacity(self.nets.len());
+        let mut ids: HashSet<u64> = HashSet::with_capacity(self.nets.len());
         let mut members: BTreeMap<PdbOrgId, Vec<u64>> = BTreeMap::new();
-        for net in self.nets {
-            if !orgs.contains_key(&net.org_id) {
+        for net in &self.nets {
+            if !orgs.contains(&net.org_id) {
                 return Err(SnapshotError::DanglingOrgRef {
                     net: net.id,
                     org: net.org_id,
                 });
             }
-            if by_asn.insert(net.asn, net.id).is_some() {
+            if !asns.insert(net.asn) {
                 return Err(SnapshotError::DuplicateAsn(net.asn));
             }
             members.entry(net.org_id).or_default().push(net.id);
-            if nets.insert(net.id, net.clone()).is_some() {
+            if !ids.insert(net.id) {
                 return Err(SnapshotError::DuplicateNet(net.id));
             }
         }
         Ok(PdbSnapshot {
-            orgs,
-            nets,
-            by_asn,
+            by_asn: self.nets.iter().map(|n| (n.asn, n.id)).collect(),
+            orgs: self.orgs.into_iter().map(|o| (o.id, o)).collect(),
+            nets: self.nets.into_iter().map(|n| (n.id, n)).collect(),
             members,
         })
     }
@@ -367,5 +371,60 @@ mod tests {
             .unwrap();
         assert_eq!(snap.org_count(), 2);
         assert_eq!(snap.populated_org_count(), 1);
+    }
+
+    #[test]
+    fn the_first_fault_in_input_order_is_reported() {
+        let dangling_first = PdbSnapshot::builder()
+            .org(org(1, "A"))
+            .net(net(100, 99, 1))
+            .net(net(101, 1, 2))
+            .net(net(102, 1, 2))
+            .build()
+            .unwrap_err();
+        assert!(matches!(
+            dangling_first,
+            SnapshotError::DanglingOrgRef { net: 100, .. }
+        ));
+        let duplicate_first = PdbSnapshot::builder()
+            .org(org(1, "A"))
+            .net(net(101, 1, 2))
+            .net(net(102, 1, 2))
+            .net(net(100, 99, 1))
+            .build()
+            .unwrap_err();
+        assert!(matches!(duplicate_first, SnapshotError::DuplicateAsn(a) if a == Asn::new(2)));
+        // One net repeating both an ASN and a net id: the ASN is checked first.
+        let both = PdbSnapshot::builder()
+            .org(org(1, "A"))
+            .net(net(100, 1, 7))
+            .net(net(100, 1, 7))
+            .build()
+            .unwrap_err();
+        assert!(matches!(both, SnapshotError::DuplicateAsn(a) if a == Asn::new(7)));
+        // Every org is checked before any net.
+        let org_fault = PdbSnapshot::builder()
+            .net(net(100, 99, 1))
+            .org(org(1, "A"))
+            .org(org(1, "B"))
+            .build()
+            .unwrap_err();
+        assert!(matches!(org_fault, SnapshotError::DuplicateOrg(id) if id == PdbOrgId::new(1)));
+    }
+
+    #[test]
+    fn nets_of_keeps_input_order_within_an_org() {
+        let snap = PdbSnapshot::builder()
+            .org(org(1, "A"))
+            .org(org(2, "B"))
+            .net(net(300, 1, 3))
+            .net(net(100, 2, 1))
+            .net(net(200, 1, 2))
+            .build()
+            .unwrap();
+        let ids: Vec<u64> = snap.nets_of(PdbOrgId::new(1)).map(|n| n.id).collect();
+        assert_eq!(ids, vec![300, 200]);
+        let all: Vec<u64> = snap.nets().map(|n| n.id).collect();
+        assert_eq!(all, vec![100, 200, 300]);
     }
 }

@@ -159,11 +159,12 @@ impl DatasetBundle {
             .map_err(|e| IoError::Format("as-rel.txt".into(), Box::new(e)))?;
 
         let mut populations = BTreeMap::new();
-        for (asn, fields) in parse_psv(&read(dir, "populations.psv")?, 3, "populations.psv")? {
-            let users: u64 = fields[1]
+        for row in parse_psv(&read(dir, "populations.psv")?, "populations.psv") {
+            let (asn, [users, country]) = row?;
+            let users: u64 = users
                 .parse()
                 .map_err(|_| bad("populations.psv", "invalid user count"))?;
-            let country: CountryCode = fields[2]
+            let country: CountryCode = country
                 .parse()
                 .map_err(|_| bad("populations.psv", "invalid country"))?;
             populations.insert(asn, PopulationRecord { users, country });
@@ -200,11 +201,12 @@ impl DatasetBundle {
         let truth = match read_optional(dir, "truth.psv")? {
             Some(text) => {
                 let mut map = BTreeMap::new();
-                for (asn, fields) in parse_psv(&text, 3, "truth.psv")? {
-                    let org_id: usize = fields[1]
+                for row in parse_psv(&text, "truth.psv") {
+                    let (asn, [org_id, name]) = row?;
+                    let org_id: usize = org_id
                         .parse()
                         .map_err(|_| bad("truth.psv", "invalid org id"))?;
-                    map.insert(asn, (org_id, fields[2].to_string()));
+                    map.insert(asn, (org_id, name.to_string()));
                 }
                 Some(map)
             }
@@ -214,9 +216,10 @@ impl DatasetBundle {
         let labels = match read_optional(dir, "labels.psv")? {
             Some(text) => {
                 let mut map = BTreeMap::new();
-                for (asn, fields) in parse_psv(&text, 2, "labels.psv")? {
+                for row in parse_psv(&text, "labels.psv") {
+                    let (asn, [list]) = row?;
                     let mut siblings = Vec::new();
-                    for token in fields[1].split_whitespace() {
+                    for token in list.split_whitespace() {
                         siblings.push(
                             token
                                 .parse::<Asn>()
@@ -270,26 +273,25 @@ fn bad(file: &str, reason: &'static str) -> IoError {
     )
 }
 
-/// Parses `asn|field|field…` lines (first field always an ASN).
-fn parse_psv<'a>(
+/// Parses `asn|field|field…` lines (first field always an ASN) into the
+/// ASN and `N` more fields, the last taking the rest of the line.
+fn parse_psv<'a, const N: usize>(
     text: &'a str,
-    arity: usize,
-    file: &str,
-) -> Result<Vec<(Asn, Vec<&'a str>)>, IoError> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim_end_matches('\r');
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.splitn(arity, '|').collect();
-        if fields.len() != arity {
-            return Err(bad(file, "wrong field count"));
-        }
-        let asn: Asn = fields[0].parse().map_err(|_| bad(file, "invalid asn"))?;
-        out.push((asn, fields));
-    }
-    Ok(out)
+    file: &'a str,
+) -> impl Iterator<Item = Result<(Asn, [&'a str; N]), IoError>> + 'a {
+    text.lines()
+        .map(|line| line.trim_end_matches('\r'))
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .map(move |line| {
+            let mut parts = line.splitn(N + 1, '|');
+            let asn = parts.next().unwrap_or_default();
+            let mut fields = [""; N];
+            for field in &mut fields {
+                *field = parts.next().ok_or_else(|| bad(file, "wrong field count"))?;
+            }
+            let asn: Asn = asn.parse().map_err(|_| bad(file, "invalid asn"))?;
+            Ok((asn, fields))
+        })
 }
 
 #[cfg(test)]

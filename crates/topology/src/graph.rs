@@ -19,11 +19,14 @@ pub enum Relationship {
 
 /// Builder for an [`AsGraph`]. Duplicate edges collapse; conflicting
 /// annotations on the same unordered pair are rejected.
+///
+/// Edges and nodes are appended as they arrive and sorted and
+/// deduplicated once in [`build`](Self::build).
 #[derive(Debug, Default)]
 pub struct AsGraphBuilder {
-    p2c: BTreeSet<(Asn, Asn)>,
-    p2p: BTreeSet<(Asn, Asn)>,
-    nodes: BTreeSet<Asn>,
+    p2c: Vec<(Asn, Asn)>,
+    p2p: Vec<(Asn, Asn)>,
+    nodes: Vec<Asn>,
 }
 
 impl AsGraphBuilder {
@@ -34,16 +37,14 @@ impl AsGraphBuilder {
 
     /// Registers an AS with no links yet (stub networks still rank).
     pub fn node(&mut self, asn: Asn) -> &mut Self {
-        self.nodes.insert(asn);
+        self.nodes.push(asn);
         self
     }
 
     /// Adds a provider→customer edge.
     pub fn provider_customer(&mut self, provider: Asn, customer: Asn) -> &mut Self {
         if provider != customer {
-            self.p2c.insert((provider, customer));
-            self.nodes.insert(provider);
-            self.nodes.insert(customer);
+            self.p2c.push((provider, customer));
         }
         self
     }
@@ -51,34 +52,48 @@ impl AsGraphBuilder {
     /// Adds a peering edge (stored with the smaller ASN first).
     pub fn peer_peer(&mut self, a: Asn, b: Asn) -> &mut Self {
         if a != b {
-            let (x, y) = if a < b { (a, b) } else { (b, a) };
-            self.p2p.insert((x, y));
-            self.nodes.insert(a);
-            self.nodes.insert(b);
+            self.p2p.push(if a < b { (a, b) } else { (b, a) });
         }
         self
     }
 
     /// Freezes the graph.
-    pub fn build(self) -> AsGraph {
-        let mut customers: BTreeMap<Asn, Vec<Asn>> = BTreeMap::new();
-        let mut providers: BTreeMap<Asn, Vec<Asn>> = BTreeMap::new();
-        for &(p, c) in &self.p2c {
-            customers.entry(p).or_default().push(c);
-            providers.entry(c).or_default().push(p);
-        }
-        let mut peers: BTreeMap<Asn, Vec<Asn>> = BTreeMap::new();
-        for &(a, b) in &self.p2p {
-            peers.entry(a).or_default().push(b);
-            peers.entry(b).or_default().push(a);
-        }
+    pub fn build(mut self) -> AsGraph {
+        self.p2c.sort_unstable();
+        self.p2c.dedup();
+        self.p2p.sort_unstable();
+        self.p2p.dedup();
+        let endpoints = self.p2c.iter().chain(&self.p2p).flat_map(|&(a, b)| [a, b]);
+        self.nodes.extend(endpoints);
+        self.nodes.sort_unstable();
+        self.nodes.dedup();
+
+        let providers = self.p2c.iter().map(|&(p, c)| (c, p)).collect();
+        let peers = self
+            .p2p
+            .iter()
+            .flat_map(|&(a, b)| [(a, b), (b, a)])
+            .collect();
         AsGraph {
-            nodes: self.nodes,
-            customers,
-            providers,
-            peers,
+            nodes: self.nodes.into_iter().collect(),
+            customers: adjacency(self.p2c),
+            providers: adjacency(providers),
+            peers: adjacency(peers),
         }
     }
+}
+
+/// Groups directed `(from, to)` edges into ascending per-node lists.
+fn adjacency(mut edges: Vec<(Asn, Asn)>) -> BTreeMap<Asn, Vec<Asn>> {
+    edges.sort_unstable();
+    let mut lists: Vec<(Asn, Vec<Asn>)> = Vec::new();
+    for (from, to) in edges {
+        match lists.last_mut() {
+            Some((last, list)) if *last == from => list.push(to),
+            _ => lists.push((from, vec![to])),
+        }
+    }
+    lists.into_iter().collect()
 }
 
 /// An immutable annotated AS-relationship graph.

@@ -37,47 +37,66 @@ impl Error for Serial1Error {}
 
 /// Parses a serial-1 relationship file.
 pub fn parse(text: &str) -> Result<AsGraph, Serial1Error> {
+    parse_lines(text, false)
+}
+
+/// The one pass behind [`parse`] and [`parse_with_nodes`].
+fn parse_lines(text: &str, node_comments: bool) -> Result<AsGraph, Serial1Error> {
     let mut builder = AsGraphBuilder::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut fields = line.split('|');
-        let (a, b, rel) = match (fields.next(), fields.next(), fields.next(), fields.next()) {
-            (Some(a), Some(b), Some(rel), None) => (a, b, rel),
-            _ => {
-                return Err(Serial1Error {
-                    line: line_no,
-                    reason: "expected as1|as2|rel",
+    let mut lines = text.lines().enumerate();
+    while let Some((idx, raw)) = lines.next() {
+        if let Err(reason) = parse_line(raw.trim(), node_comments, &mut builder) {
+            // A bad `# node:` comment anywhere outranks a bad edge line.
+            let later = (node_comments && reason != BAD_NODE)
+                .then(|| {
+                    lines.find(|(_, raw)| {
+                        let node = raw.trim().strip_prefix(NODE_PREFIX);
+                        node.is_some_and(|n| n.parse::<Asn>().is_err())
+                    })
                 })
-            }
-        };
-        let a: Asn = a.parse().map_err(|_| Serial1Error {
-            line: line_no,
-            reason: "invalid as1",
-        })?;
-        let b: Asn = b.parse().map_err(|_| Serial1Error {
-            line: line_no,
-            reason: "invalid as2",
-        })?;
-        match rel {
-            "-1" => {
-                builder.provider_customer(a, b);
-            }
-            "0" => {
-                builder.peer_peer(a, b);
-            }
-            _ => {
-                return Err(Serial1Error {
-                    line: line_no,
-                    reason: "relationship must be -1 or 0",
-                })
-            }
+                .flatten();
+            let (idx, reason) = later.map_or((idx, reason), |(later, _)| (later, BAD_NODE));
+            return Err(Serial1Error {
+                line: idx + 1,
+                reason,
+            });
         }
     }
     Ok(builder.build())
+}
+
+const NODE_PREFIX: &str = "# node: ";
+const BAD_NODE: &str = "invalid node comment";
+
+/// Adds one trimmed line's edge (or, with `node_comments`, its
+/// `# node:` AS) to `builder`.
+fn parse_line(
+    line: &str,
+    node_comments: bool,
+    builder: &mut AsGraphBuilder,
+) -> Result<(), &'static str> {
+    if line.starts_with('#') {
+        if let Some(node) = line.strip_prefix(NODE_PREFIX).filter(|_| node_comments) {
+            builder.node(node.parse().map_err(|_| BAD_NODE)?);
+        }
+        return Ok(());
+    }
+    if line.is_empty() {
+        return Ok(());
+    }
+    let mut fields = line.split('|');
+    let (a, b, rel) = match (fields.next(), fields.next(), fields.next(), fields.next()) {
+        (Some(a), Some(b), Some(rel), None) => (a, b, rel),
+        _ => return Err("expected as1|as2|rel"),
+    };
+    let a: Asn = a.parse().map_err(|_| "invalid as1")?;
+    let b: Asn = b.parse().map_err(|_| "invalid as2")?;
+    match rel {
+        "-1" => builder.provider_customer(a, b),
+        "0" => builder.peer_peer(a, b),
+        _ => return Err("relationship must be -1 or 0"),
+    };
+    Ok(())
 }
 
 /// Serializes a graph to the serial-1 format, deterministically ordered.
@@ -107,30 +126,7 @@ pub fn serialize(graph: &AsGraph) -> String {
 /// Parses including `# node:` comments (the round-trip companion of
 /// [`serialize`] — plain CAIDA files simply have no such comments).
 pub fn parse_with_nodes(text: &str) -> Result<AsGraph, Serial1Error> {
-    let mut builder = AsGraphBuilder::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if let Some(node) = line.strip_prefix("# node: ") {
-            let asn: Asn = node.parse().map_err(|_| Serial1Error {
-                line: idx + 1,
-                reason: "invalid node comment",
-            })?;
-            builder.node(asn);
-        }
-    }
-    let base = parse(text)?;
-    for node in base.nodes() {
-        builder.node(node);
-    }
-    for p in base.nodes() {
-        for &c in base.customers_of(p) {
-            builder.provider_customer(p, c);
-        }
-        for &q in base.peers_of(p) {
-            builder.peer_peer(p, q);
-        }
-    }
-    Ok(builder.build())
+    parse_lines(text, true)
 }
 
 #[cfg(test)]
@@ -184,5 +180,21 @@ mod tests {
         let g = b.build();
         let back = parse_with_nodes(&serialize(&g)).unwrap();
         assert_eq!(customer_cones(&g), customer_cones(&back));
+    }
+
+    #[test]
+    fn a_bad_node_comment_outranks_an_earlier_bad_edge() {
+        assert_eq!(
+            parse_with_nodes("1|2|7\n# node: x\n").unwrap_err(),
+            Serial1Error {
+                line: 2,
+                reason: "invalid node comment"
+            }
+        );
+        assert_eq!(parse_with_nodes("1|2|7\n# node: 5\n").unwrap_err().line, 1);
+        assert!(
+            parse("# node: x\n1|2|-1\n").is_ok(),
+            "plain parse skips comments"
+        );
     }
 }

@@ -19,6 +19,7 @@
 use crate::registry::{RegistryError, WhoisRegistry};
 use crate::schema::{AutNum, Rir, WhoisOrg};
 use borges_types::{Asn, CountryCode, OrgName, WhoisOrgId};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -141,59 +142,46 @@ pub fn parse(text: &str) -> Result<WhoisRegistry, As2orgError> {
             // other comments ignored
             continue;
         }
-        let fields: Vec<&str> = line.split('|').collect();
         match section {
             Section::None => return Err(As2orgError::MissingHeader { line: line_no }),
             Section::Org => {
-                if fields.len() != 5 {
-                    return Err(As2orgError::FieldCount {
-                        line: line_no,
-                        found: fields.len(),
-                        expected: 5,
-                    });
-                }
+                let [id, changed, name, country, source] = fields(line, line_no)?;
                 let country: CountryCode =
-                    fields[3].parse().map_err(|source| As2orgError::BadField {
+                    country.parse().map_err(|source| As2orgError::BadField {
                         line: line_no,
                         field: "country",
                         source,
                     })?;
-                let source: Rir = fields[4].parse().map_err(|source| As2orgError::BadField {
+                let source: Rir = source.parse().map_err(|source| As2orgError::BadField {
                     line: line_no,
                     field: "source",
                     source,
                 })?;
                 orgs.push(WhoisOrg {
-                    id: WhoisOrgId::new(fields[0]),
-                    changed: fields[1].parse().unwrap_or(0),
-                    name: OrgName::new(fields[2]),
+                    id: WhoisOrgId::new(id),
+                    changed: parse_changed(changed, line_no)?,
+                    name: OrgName::new(name),
                     country,
                     source,
                 });
             }
             Section::Aut => {
-                if fields.len() != 6 {
-                    return Err(As2orgError::FieldCount {
-                        line: line_no,
-                        found: fields.len(),
-                        expected: 6,
-                    });
-                }
-                let asn: Asn = fields[0].parse().map_err(|source| As2orgError::BadField {
+                let [asn, changed, name, org, _opaque, source] = fields(line, line_no)?;
+                let asn: Asn = asn.parse().map_err(|source| As2orgError::BadField {
                     line: line_no,
                     field: "aut",
                     source,
                 })?;
-                let source: Rir = fields[5].parse().map_err(|source| As2orgError::BadField {
+                let source: Rir = source.parse().map_err(|source| As2orgError::BadField {
                     line: line_no,
                     field: "source",
                     source,
                 })?;
                 auts.push(AutNum {
                     asn,
-                    changed: fields[1].parse().unwrap_or(0),
-                    name: fields[2].to_string(),
-                    org: WhoisOrgId::new(fields[3]),
+                    changed: parse_changed(changed, line_no)?,
+                    name: name.to_string(),
+                    org: WhoisOrgId::new(org),
                     source,
                 });
             }
@@ -202,24 +190,53 @@ pub fn parse(text: &str) -> Result<WhoisRegistry, As2orgError> {
 
     // Synthesize placeholder orgs for dangling references (real CAIDA files
     // contain a handful).
-    let known: std::collections::BTreeSet<&WhoisOrgId> = orgs.iter().map(|o| &o.id).collect();
-    let mut placeholders: Vec<WhoisOrg> = Vec::new();
-    let mut seen_placeholder: std::collections::BTreeSet<WhoisOrgId> =
-        std::collections::BTreeSet::new();
-    for aut in &auts {
-        if !known.contains(&aut.org) && seen_placeholder.insert(aut.org.clone()) {
-            placeholders.push(WhoisOrg {
-                id: aut.org.clone(),
-                name: OrgName::new(aut.org.as_str()),
-                country: "ZZ".parse().expect("ZZ is two letters"),
-                source: aut.source,
-                changed: 0,
-            });
-        }
-    }
+    let mut known: HashSet<&WhoisOrgId> = orgs.iter().map(|o| &o.id).collect();
+    let placeholders: Vec<WhoisOrg> = auts
+        .iter()
+        .filter(|aut| known.insert(&aut.org))
+        .map(|aut| WhoisOrg {
+            id: aut.org.clone(),
+            name: OrgName::new(aut.org.as_str()),
+            country: "ZZ".parse().expect("ZZ is two letters"),
+            source: aut.source,
+            changed: 0,
+        })
+        .collect();
     orgs.extend(placeholders);
 
     Ok(WhoisRegistry::builder().extend(orgs, auts).build()?)
+}
+
+/// Splits a data line into exactly `N` pipe-separated fields.
+fn fields<const N: usize>(line: &str, line_no: usize) -> Result<[&str; N], As2orgError> {
+    let mut out = [""; N];
+    let mut found = 0;
+    for field in line.split('|') {
+        if let Some(slot) = out.get_mut(found) {
+            *slot = field;
+        }
+        found += 1;
+    }
+    if found != N {
+        return Err(As2orgError::FieldCount {
+            line: line_no,
+            found,
+            expected: N,
+        });
+    }
+    Ok(out)
+}
+
+/// The `changed` column: `YYYYMMDD`, or empty for unknown (0).
+fn parse_changed(field: &str, line_no: usize) -> Result<u32, As2orgError> {
+    if field.is_empty() {
+        return Ok(0);
+    }
+    field.parse().map_err(|_| As2orgError::BadField {
+        line: line_no,
+        field: "changed",
+        source: borges_types::ParseError::new("changed", field, "expected YYYYMMDD digits"),
+    })
 }
 
 /// Serializes a registry back into the CAIDA flat-file format.
@@ -365,5 +382,38 @@ CL-38-ARIN|20231215|CenturyLink Communications|US|ARIN
         let reg = parse(&text).unwrap();
         assert_eq!(reg.asn_count(), 2);
         assert_eq!(reg.org_count(), 2);
+    }
+
+    #[test]
+    fn non_numeric_changed_is_a_bad_field_in_both_sections() {
+        let org = format!("{ORG_HEADER}\nLPL-141-ARIN|garbage|Level 3|US|ARIN\n");
+        assert!(matches!(
+            parse(&org).unwrap_err(),
+            As2orgError::BadField {
+                line: 2,
+                field: "changed",
+                ..
+            }
+        ));
+        let aut = format!(
+            "{ORG_HEADER}\nA-ARIN|0|A|US|ARIN\n{AUT_HEADER}\n3356|2024-01-01|LEVEL3|A-ARIN||ARIN\n"
+        );
+        assert!(matches!(
+            parse(&aut).unwrap_err(),
+            As2orgError::BadField {
+                line: 4,
+                field: "changed",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn empty_changed_reads_as_unknown_in_both_sections() {
+        let text =
+            format!("{ORG_HEADER}\nA-ARIN||A|US|ARIN\n{AUT_HEADER}\n3356||LEVEL3|A-ARIN||ARIN\n");
+        let reg = parse(&text).unwrap();
+        assert_eq!(reg.org(&WhoisOrgId::new("A-ARIN")).unwrap().changed, 0);
+        assert_eq!(reg.aut_num(Asn::new(3356)).unwrap().changed, 0);
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::schema::{AutNum, WhoisOrg};
 use borges_types::{Asn, WhoisOrgId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -81,33 +81,49 @@ impl WhoisRegistryBuilder {
     }
 
     /// Validates referential integrity and freezes the registry.
+    ///
+    /// The checks walk the records in input order over borrowed keys, so
+    /// the fault reported is the first one in the input; the records are
+    /// then moved, not copied, into indexes built from sorted runs.
     pub fn build(self) -> Result<WhoisRegistry, RegistryError> {
-        let mut orgs: BTreeMap<WhoisOrgId, WhoisOrg> = BTreeMap::new();
-        for org in self.orgs {
+        let mut ids: HashSet<&WhoisOrgId> = HashSet::with_capacity(self.orgs.len());
+        for org in &self.orgs {
             if org.id.is_empty() {
                 return Err(RegistryError::EmptyOrgId);
             }
-            if orgs.insert(org.id.clone(), org.clone()).is_some() {
-                return Err(RegistryError::DuplicateOrg(org.id));
+            if !ids.insert(&org.id) {
+                return Err(RegistryError::DuplicateOrg(org.id.clone()));
             }
         }
-        let mut auts: BTreeMap<Asn, AutNum> = BTreeMap::new();
-        let mut members: BTreeMap<WhoisOrgId, BTreeSet<Asn>> = BTreeMap::new();
-        for aut in self.auts {
-            if !orgs.contains_key(&aut.org) {
+        let mut asns: HashSet<Asn> = HashSet::with_capacity(self.auts.len());
+        let mut owned: Vec<(&WhoisOrgId, Asn)> = Vec::with_capacity(self.auts.len());
+        for aut in &self.auts {
+            if !ids.contains(&aut.org) {
                 return Err(RegistryError::DanglingOrgRef {
                     asn: aut.asn,
-                    org: aut.org,
+                    org: aut.org.clone(),
                 });
             }
-            if auts.insert(aut.asn, aut.clone()).is_some() {
+            if !asns.insert(aut.asn) {
                 return Err(RegistryError::DuplicateAsn(aut.asn));
             }
-            members.entry(aut.org.clone()).or_default().insert(aut.asn);
+            owned.push((&aut.org, aut.asn));
         }
+        owned.sort_unstable();
+        let mut runs: Vec<(&WhoisOrgId, Vec<Asn>)> = Vec::new();
+        for (org, asn) in owned {
+            match runs.last_mut() {
+                Some((last, asns)) if *last == org => asns.push(asn),
+                _ => runs.push((org, vec![asn])),
+            }
+        }
+        let members = runs
+            .into_iter()
+            .map(|(org, asns)| (org.clone(), asns.into_iter().collect()))
+            .collect();
         Ok(WhoisRegistry {
-            orgs,
-            auts,
+            orgs: self.orgs.into_iter().map(|o| (o.id.clone(), o)).collect(),
+            auts: self.auts.into_iter().map(|a| (a.asn, a)).collect(),
             members,
         })
     }
@@ -294,5 +310,57 @@ mod tests {
         assert!(reg.org_of(Asn::new(999)).is_none());
         assert!(reg.org(&WhoisOrgId::new("X")).is_none());
         assert_eq!(reg.asns_of(&WhoisOrgId::new("X")).count(), 0);
+    }
+
+    #[test]
+    fn the_first_fault_in_input_order_is_reported() {
+        let dangling_first = WhoisRegistry::builder()
+            .org(org("A"))
+            .aut(aut(1, "MISSING"))
+            .aut(aut(2, "A"))
+            .aut(aut(2, "A"))
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            dangling_first,
+            RegistryError::DanglingOrgRef {
+                asn: Asn::new(1),
+                org: WhoisOrgId::new("MISSING")
+            }
+        );
+        let duplicate_first = WhoisRegistry::builder()
+            .org(org("A"))
+            .aut(aut(2, "A"))
+            .aut(aut(2, "A"))
+            .aut(aut(1, "MISSING"))
+            .build()
+            .unwrap_err();
+        assert_eq!(duplicate_first, RegistryError::DuplicateAsn(Asn::new(2)));
+        // One aut-num both repeating an ASN and dangling: the reference is
+        // checked first.
+        let both = WhoisRegistry::builder()
+            .org(org("A"))
+            .aut(aut(1, "A"))
+            .aut(aut(1, "MISSING"))
+            .build()
+            .unwrap_err();
+        assert!(matches!(both, RegistryError::DanglingOrgRef { .. }));
+        // Every org is checked before any aut-num.
+        let org_fault = WhoisRegistry::builder()
+            .aut(aut(1, "MISSING"))
+            .org(org("A"))
+            .org(org("A"))
+            .build()
+            .unwrap_err();
+        assert_eq!(org_fault, RegistryError::DuplicateOrg(WhoisOrgId::new("A")));
+        let mut empty = org("A");
+        empty.id = WhoisOrgId::new("");
+        let empty_first = WhoisRegistry::builder()
+            .org(empty)
+            .org(org("B"))
+            .org(org("B"))
+            .build()
+            .unwrap_err();
+        assert_eq!(empty_first, RegistryError::EmptyOrgId);
     }
 }
