@@ -12,10 +12,11 @@
 //!   sibling "evidence" — the false positives that forced the original
 //!   system into manual curation and that Borges's LLM stage eliminates.
 
+use borges_core::delta::chain_edges;
 use borges_core::orgkeys::{oid_p_groups, oid_w_groups};
-use borges_core::{AsOrgMapping, UnionFind};
+use borges_core::{AsOrgMapping, DenseUnionFind};
 use borges_peeringdb::PdbSnapshot;
-use borges_types::Asn;
+use borges_types::{Asn, AsnInterner};
 use borges_whois::WhoisRegistry;
 use std::collections::BTreeSet;
 
@@ -115,26 +116,22 @@ pub fn as2orgplus(
     pdb: &PdbSnapshot,
     config: As2orgPlusConfig,
 ) -> AsOrgMapping {
-    let allocated: BTreeSet<Asn> = whois.all_asns().chain(pdb.nets().map(|n| n.asn)).collect();
-    let mut uf = UnionFind::with_universe(allocated.iter().copied());
-    for group in oid_w_groups(whois) {
-        uf.union_group(&group);
-    }
+    let allocated = AsnInterner::new(whois.all_asns().chain(pdb.nets().map(|n| n.asn)));
+    let mut uf = DenseUnionFind::new(allocated.len());
+    uf.union_edges(&chain_edges(&allocated, &oid_w_groups(whois)));
     if config.use_oid_p {
-        for group in oid_p_groups(pdb) {
-            uf.union_group(&group);
-        }
+        uf.union_edges(&chain_edges(&allocated, &oid_p_groups(pdb)));
     }
     if config.regex_extraction {
         for net in pdb.nets() {
             for sibling in regex_extract(net.asn, &net.notes, &net.aka, config.bare_numbers) {
-                if allocated.contains(&sibling) {
-                    uf.union(net.asn, sibling);
+                if let (Some(a), Some(b)) = (allocated.id(net.asn), allocated.id(sibling)) {
+                    uf.union(a, b);
                 }
             }
         }
     }
-    AsOrgMapping::from_union_find(uf)
+    AsOrgMapping::from_groups(uf.into_groups(&allocated))
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 //! output is unstable across releases, and these hashes persist.
 
 use crate::ner::{NerMemoEntry, NerResult};
+use crate::orgkeys;
 use crate::web::favicon::{FaviconInference, FaviconMemo};
 use crate::web::rr::RrInference;
 use borges_peeringdb::{PdbNetwork, PdbOrganization, PdbSnapshot};
@@ -326,8 +327,10 @@ pub fn group_fp(interner: &AsnInterner, groups: &[Vec<Asn>]) -> u64 {
 }
 
 /// Compiles a key's groups to dense-id edges: each group's in-universe
-/// members are chained pairwise (the spanning chain
-/// [`crate::unionfind::UnionFind::union_group`] walks).
+/// members are chained pairwise, in group order — `k` members give
+/// `k - 1` edges, a spanning chain whose replay into a
+/// [`crate::unionfind::DenseUnionFind`] joins the whole group. Members
+/// outside the interner's live universe get no id and are skipped.
 pub fn chain_edges(interner: &AsnInterner, groups: &[Vec<Asn>]) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
     let mut ids: Vec<u32> = Vec::new();
@@ -791,31 +794,17 @@ impl SnapshotState {
 
 /// OID_W sibling groups keyed by WHOIS org handle, members ascending.
 pub fn keyed_whois_groups(whois: &WhoisRegistry) -> Vec<(String, Vec<Vec<Asn>>)> {
-    let mut by_org: BTreeMap<&str, Vec<Asn>> = BTreeMap::new();
-    for aut in whois.aut_nums() {
-        by_org.entry(aut.org.as_str()).or_default().push(aut.asn);
-    }
-    by_org
+    orgkeys::by_whois_org(whois)
         .into_iter()
-        .map(|(org, mut members)| {
-            members.sort_unstable();
-            (org.to_string(), vec![members])
-        })
+        .map(|(org, members)| (org.to_string(), vec![members]))
         .collect()
 }
 
 /// OID_P sibling groups keyed by PeeringDB org id, members ascending.
 pub fn keyed_pdb_groups(pdb: &PdbSnapshot) -> Vec<(u64, Vec<Vec<Asn>>)> {
-    let mut by_org: BTreeMap<u64, Vec<Asn>> = BTreeMap::new();
-    for net in pdb.nets() {
-        by_org.entry(net.org_id.value()).or_default().push(net.asn);
-    }
-    by_org
+    orgkeys::by_pdb_org(pdb)
         .into_iter()
-        .map(|(org, mut members)| {
-            members.sort_unstable();
-            (org, vec![members])
-        })
+        .map(|(org, members)| (org, vec![members]))
         .collect()
 }
 

@@ -6,7 +6,6 @@
 //! analyses (§6) and all ground-truth scoring consume this one type, which
 //! is what makes the methods comparable.
 
-use crate::unionfind::UnionFind;
 use borges_types::Asn;
 use std::collections::BTreeMap;
 
@@ -14,6 +13,23 @@ use std::collections::BTreeMap;
 /// assigned in order of each cluster's smallest ASN — deterministic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub usize);
+
+/// Puts groups in the canonical order of a mapping's clusters: members
+/// ascending and de-duplicated, empty groups dropped, groups ordered by
+/// their smallest member.
+pub fn canonical_groups(groups: impl IntoIterator<Item = Vec<Asn>>) -> Vec<Vec<Asn>> {
+    let mut sorted: Vec<Vec<Asn>> = groups
+        .into_iter()
+        .filter(|g| !g.is_empty())
+        .map(|mut g| {
+            g.sort_unstable();
+            g.dedup();
+            g
+        })
+        .collect();
+    sorted.sort_by_key(|g| g[0]);
+    sorted
+}
 
 /// A partition of ASNs into inferred organizations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -27,16 +43,7 @@ impl AsOrgMapping {
     /// ASNs may appear in only one group (duplicates panic — they indicate
     /// a bug in the caller's clustering).
     pub fn from_groups(groups: impl IntoIterator<Item = Vec<Asn>>) -> Self {
-        let mut sorted: Vec<Vec<Asn>> = groups
-            .into_iter()
-            .filter(|g| !g.is_empty())
-            .map(|mut g| {
-                g.sort_unstable();
-                g.dedup();
-                g
-            })
-            .collect();
-        sorted.sort_by_key(|g| g[0]);
+        let sorted = canonical_groups(groups);
         let mut cluster_of = BTreeMap::new();
         for (i, group) in sorted.iter().enumerate() {
             for &asn in group {
@@ -48,11 +55,6 @@ impl AsOrgMapping {
             cluster_of,
             members: sorted,
         }
-    }
-
-    /// Builds a mapping by collapsing a union-find forest.
-    pub fn from_union_find(uf: UnionFind) -> Self {
-        Self::from_groups(uf.into_groups())
     }
 
     /// The cluster containing `asn`.
@@ -167,15 +169,6 @@ mod tests {
     #[should_panic(expected = "appears in two clusters")]
     fn cross_group_duplicates_panic() {
         AsOrgMapping::from_groups(vec![vec![a(1)], vec![a(1), a(2)]]);
-    }
-
-    #[test]
-    fn from_union_find_matches_groups() {
-        let mut uf = UnionFind::with_universe([a(1), a(2), a(3), a(4)]);
-        uf.union(a(1), a(4));
-        let m = AsOrgMapping::from_union_find(uf);
-        assert_eq!(m.org_count(), 3);
-        assert!(m.same_org(a(1), a(4)));
     }
 
     #[test]

@@ -6,47 +6,67 @@
 //! they produce (Fig. 3's Lumen/CenturyLink case) is what the
 //! pipeline's union-find does downstream.
 
-use crate::mapping::AsOrgMapping;
+use crate::mapping::{canonical_groups, AsOrgMapping};
 use borges_peeringdb::PdbSnapshot;
 use borges_types::Asn;
 use borges_whois::WhoisRegistry;
 use std::collections::BTreeMap;
 
-/// Groups every allocated ASN by its WHOIS organization handle (`OID_W`) —
-/// exactly CAIDA AS2Org's core inference.
-pub fn oid_w_mapping(whois: &WhoisRegistry) -> AsOrgMapping {
+/// Every allocated ASN grouped by its WHOIS organization handle
+/// (`OID_W`): one `(handle, members)` entry per organization, handles
+/// ascending, members ascending. The one WHOIS grouping pass — the
+/// mapping, the flat groups and the pipeline's keyed segments
+/// ([`crate::delta::keyed_whois_groups`]) all read it.
+pub fn by_whois_org(whois: &WhoisRegistry) -> Vec<(&str, Vec<Asn>)> {
     let mut groups: BTreeMap<&str, Vec<Asn>> = BTreeMap::new();
     for aut in whois.aut_nums() {
         groups.entry(aut.org.as_str()).or_default().push(aut.asn);
     }
-    AsOrgMapping::from_groups(groups.into_values())
+    sorted_members(groups)
+}
+
+/// Every PeeringDB-registered ASN grouped by its PeeringDB organization
+/// (`OID_P`), org ids ascending, members ascending. The PeeringDB
+/// analogue of [`by_whois_org`].
+pub fn by_pdb_org(pdb: &PdbSnapshot) -> Vec<(u64, Vec<Asn>)> {
+    let mut groups: BTreeMap<u64, Vec<Asn>> = BTreeMap::new();
+    for net in pdb.nets() {
+        groups.entry(net.org_id.value()).or_default().push(net.asn);
+    }
+    sorted_members(groups)
+}
+
+fn sorted_members<K: Ord>(groups: BTreeMap<K, Vec<Asn>>) -> Vec<(K, Vec<Asn>)> {
+    groups
+        .into_iter()
+        .map(|(key, mut members)| {
+            members.sort_unstable();
+            (key, members)
+        })
+        .collect()
+}
+
+/// Groups every allocated ASN by its WHOIS organization handle (`OID_W`) —
+/// exactly CAIDA AS2Org's core inference.
+pub fn oid_w_mapping(whois: &WhoisRegistry) -> AsOrgMapping {
+    AsOrgMapping::from_groups(by_whois_org(whois).into_iter().map(|(_, m)| m))
 }
 
 /// Groups every PeeringDB-registered ASN by its PeeringDB organization
 /// (`OID_P`).
 pub fn oid_p_mapping(pdb: &PdbSnapshot) -> AsOrgMapping {
-    let mut groups: BTreeMap<u64, Vec<Asn>> = BTreeMap::new();
-    for net in pdb.nets() {
-        groups.entry(net.org_id.value()).or_default().push(net.asn);
-    }
-    AsOrgMapping::from_groups(groups.into_values())
+    AsOrgMapping::from_groups(by_pdb_org(pdb).into_iter().map(|(_, m)| m))
 }
 
-/// The sibling *groups* each key source contributes as merge evidence for
-/// the pipeline (same content as the mappings, exposed as plain groups).
+/// The sibling *groups* each key source contributes as merge evidence
+/// (same content and order as the mapping's clusters).
 pub fn oid_w_groups(whois: &WhoisRegistry) -> Vec<Vec<Asn>> {
-    oid_w_mapping(whois)
-        .clusters()
-        .map(|(_, m)| m.to_vec())
-        .collect()
+    canonical_groups(by_whois_org(whois).into_iter().map(|(_, m)| m))
 }
 
 /// See [`oid_w_groups`]; the PeeringDB analogue.
 pub fn oid_p_groups(pdb: &PdbSnapshot) -> Vec<Vec<Asn>> {
-    oid_p_mapping(pdb)
-        .clusters()
-        .map(|(_, m)| m.to_vec())
-        .collect()
+    canonical_groups(by_pdb_org(pdb).into_iter().map(|(_, m)| m))
 }
 
 #[cfg(test)]

@@ -23,11 +23,9 @@ use crate::delta::{
     self, DeltaStats, EdgeSegment, SegmentDelta, SnapshotDelta, SnapshotState, SourceDelta,
     SourceFingerprints,
 };
-use crate::mapping::AsOrgMapping;
+use crate::mapping::{canonical_groups, AsOrgMapping};
 use crate::ner::{extract_with_memo, NerConfig, NerMemoEntry, NerResult};
-use crate::orgkeys;
-use crate::unionfind::SegmentFeed;
-use crate::unionfind::{DenseUnionFind, ShardReport, UnionFind};
+use crate::unionfind::{DenseUnionFind, SegmentFeed, ShardReport};
 use crate::web::favicon::{favicon_inference_memo, FaviconInference};
 use crate::web::rr::{rr_inference, RrInference};
 use crate::world::{
@@ -53,7 +51,7 @@ use borges_websim::{
 use borges_whois::WhoisRegistry;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A subset of Borges's four optional features. The WHOIS organization
 /// key (`OID_W`) is always on — it is the compulsory base that defines
@@ -212,16 +210,127 @@ pub struct FeatureContribution {
     pub orgs: usize,
 }
 
+/// The component id of a slot a feature's evidence never names.
+const UNNAMED: u32 = u32::MAX;
+
+/// Evidence provenance as one dense component-id array per feature,
+/// built once per world from the raw evidence each feature asserts: the
+/// two registries' org groups, the notes/aka extraction edges, the R&R
+/// merging groups and the favicon groups. Unlike the compiled segments,
+/// nothing here is filtered to the universe: an ASN that evidence names
+/// but the interner does not hold gets a slot past the interner's end,
+/// so a pair linked only through a never-allocated ASN stays linked, as
+/// the evidence says. A slot the feature never names holds [`UNNAMED`]
+/// and is linked to nothing, itself included.
+#[derive(Debug, Clone)]
+struct Provenance {
+    /// Evidence ASNs outside the interner's live universe, ascending;
+    /// the `i`-th owns slot `interner.len() + i`.
+    outside: Vec<Asn>,
+    /// Per feature, in [`Provenance::FEATURES`] order: every slot's
+    /// component id (the slot of its root), or [`UNNAMED`].
+    components: [Vec<u32>; 5],
+}
+
+impl Provenance {
+    /// The order of `components`, which is the order
+    /// [`Borges::evidence`] reports features in.
+    const FEATURES: [Feature; 5] = [
+        Feature::OidW,
+        Feature::OidP,
+        Feature::NotesAka,
+        Feature::RefreshRedirect,
+        Feature::Favicons,
+    ];
+
+    fn build(borges: &Borges) -> Self {
+        let compiled = &borges.compiled;
+        let interner = &compiled.interner;
+        let ner_edges: Vec<[Asn; 2]> = borges
+            .ner
+            .edges()
+            .into_iter()
+            .map(|(a, b)| [a, b])
+            .collect();
+        let sources: [Vec<&[Asn]>; 5] = [
+            compiled.oid_w_groups.iter().map(Vec::as_slice).collect(),
+            compiled.oid_p_groups.iter().map(Vec::as_slice).collect(),
+            ner_edges.iter().map(|edge| edge.as_slice()).collect(),
+            borges.rr.merging_groups().map(Vec::as_slice).collect(),
+            borges.favicon.groups.iter().map(Vec::as_slice).collect(),
+        ];
+        let mut outside: Vec<Asn> = sources
+            .iter()
+            .flatten()
+            .flat_map(|group| group.iter().copied())
+            .filter(|&asn| !interner.contains(asn))
+            .collect();
+        outside.sort_unstable();
+        outside.dedup();
+        let mut provenance = Provenance {
+            outside,
+            components: Default::default(),
+        };
+        let len = interner.len() + provenance.outside.len();
+        let components = sources.map(|groups| {
+            let mut uf = DenseUnionFind::new(len);
+            let mut named = vec![false; len];
+            for group in groups {
+                let mut slots = group.iter().map(|&asn| {
+                    let slot = provenance
+                        .slot(interner, asn)
+                        .expect("evidence ASN has a slot");
+                    named[slot] = true;
+                    slot as u32
+                });
+                if let Some(mut prev) = slots.next() {
+                    for slot in slots {
+                        uf.union(prev, slot);
+                        prev = slot;
+                    }
+                }
+            }
+            let mut ids = uf.component_ids();
+            for (id, named) in ids.iter_mut().zip(named) {
+                if !named {
+                    *id = UNNAMED;
+                }
+            }
+            ids
+        });
+        provenance.components = components;
+        provenance
+    }
+
+    /// `asn`'s slot: its interner id, or its place past the interner's
+    /// end; `None` when no evidence names an ASN outside the universe.
+    fn slot(&self, interner: &AsnInterner, asn: Asn) -> Option<usize> {
+        match interner.id(asn) {
+            Some(id) => Some(id as usize),
+            None => self
+                .outside
+                .binary_search(&asn)
+                .ok()
+                .map(|i| interner.len() + i),
+        }
+    }
+
+    fn components(&self, feature: Feature) -> &[u32] {
+        let i = Self::FEATURES.iter().position(|&f| f == feature);
+        &self.components[i.expect("every feature has components")]
+    }
+}
+
 /// All five evidence sources compiled to dense-id edge lists over the
-/// fixed universe, plus the precomputed OID_W base closure.
+/// fixed universe, plus the precomputed OID_W base closure and both
+/// registries' org groups.
 ///
 /// Compiled once at pipeline construction; replayed (against a clone of
 /// `base`) on every [`Borges::mapping`] call. Evidence naming ASNs
-/// outside the universe is dropped here, mirroring the membership
-/// filtering the per-call path used to do: every group is filtered
-/// member-wise and then chained pairwise (the spanning chain
-/// [`UnionFind::union_group`] walks) — an NER subject's star of
-/// siblings becomes a chain with the same edge count and closure.
+/// outside the universe is dropped here: every group is filtered
+/// member-wise and then chained pairwise ([`delta::chain_edges`]) — an
+/// NER subject's star of siblings becomes a chain with the same edge
+/// count and closure.
 ///
 /// The edge lists are partitioned into [`EdgeSegment`]s keyed by the
 /// source record that derived them. A full compile and an incremental
@@ -239,6 +348,25 @@ struct CompiledEvidence {
     na: Vec<EdgeSegment<u32>>,
     rr: Vec<EdgeSegment<String>>,
     favicons: Vec<EdgeSegment<u64>>,
+    /// The WHOIS org-key groups in canonical order (members ascending,
+    /// groups by smallest member), unfiltered — what provenance, Table 3
+    /// and the stored world read.
+    oid_w_groups: Vec<Vec<Asn>>,
+    /// The PeeringDB analogue of `oid_w_groups`.
+    oid_p_groups: Vec<Vec<Asn>>,
+}
+
+/// One registry's org-key feature from its single group-by-key pass:
+/// the edge segments merged against `prior`, and the same groups
+/// flattened into canonical order.
+fn org_key_feature<K: Ord + Clone>(
+    interner: &AsnInterner,
+    prior: &BTreeMap<K, EdgeSegment<K>>,
+    keyed: Vec<(K, Vec<Vec<Asn>>)>,
+) -> (Vec<EdgeSegment<K>>, SegmentDelta, Vec<Vec<Asn>>) {
+    let groups = canonical_groups(keyed.iter().map(|(_, groups)| groups.concat()));
+    let (segments, delta) = delta::merge_feature(interner, prior, keyed);
+    (segments, delta, groups)
 }
 
 fn segment_edge_count<K>(segments: &[EdgeSegment<K>]) -> usize {
@@ -351,8 +479,10 @@ impl CompiledEvidence {
             ),
             None => Default::default(),
         };
-        let (oid_w, d_w) = delta::merge_feature(&interner, &p_w, delta::keyed_whois_groups(whois));
-        let (oid_p, d_p) = delta::merge_feature(&interner, &p_p, delta::keyed_pdb_groups(pdb));
+        let (oid_w, d_w, oid_w_groups) =
+            org_key_feature(&interner, &p_w, delta::keyed_whois_groups(whois));
+        let (oid_p, d_p, oid_p_groups) =
+            org_key_feature(&interner, &p_p, delta::keyed_pdb_groups(pdb));
         let (na, d_na) = delta::merge_feature(&interner, &p_na, delta::keyed_ner_groups(ner));
         let (rr, d_rr) = delta::merge_feature(&interner, &p_rr, delta::keyed_rr_groups(rr));
         let (favicons, d_f) =
@@ -378,6 +508,8 @@ impl CompiledEvidence {
                 na,
                 rr,
                 favicons,
+                oid_w_groups,
+                oid_p_groups,
             },
             [d_w, d_p, d_na, d_rr, d_f],
         )
@@ -390,18 +522,22 @@ impl CompiledEvidence {
     /// the same sharded base replay as [`CompiledEvidence::compile`] —
     /// the work is merely scheduled earlier, so the result is
     /// byte-identical.
-    #[allow(clippy::too_many_arguments)]
     fn compile_from_stream(
-        interner: AsnInterner,
-        oid_w: Vec<EdgeSegment<String>>,
-        oid_p: Vec<EdgeSegment<u64>>,
-        feed: SegmentFeed,
+        pre: StreamPrecompiled,
         ner: &NerResult,
         rr: &RrInference,
         favicon: &FaviconInference,
         threads: usize,
         tel: &Telemetry,
     ) -> Self {
+        let StreamPrecompiled {
+            interner,
+            oid_w,
+            oid_p,
+            feed,
+            oid_w_groups,
+            oid_p_groups,
+        } = pre;
         let (na, _) =
             delta::merge_feature(&interner, &BTreeMap::new(), delta::keyed_ner_groups(ner));
         let (rr, _) = delta::merge_feature(&interner, &BTreeMap::new(), delta::keyed_rr_groups(rr));
@@ -423,6 +559,8 @@ impl CompiledEvidence {
             na,
             rr,
             favicons,
+            oid_w_groups,
+            oid_p_groups,
         }
     }
 }
@@ -455,16 +593,14 @@ impl StreamPrecompiled {
     /// the I/O. `threads` sizes the eventual base replay's shard count,
     /// matching what the staged compile would use.
     fn build(whois: &WhoisRegistry, pdb: &PdbSnapshot, threads: usize) -> Self {
-        let oid_w_groups = orgkeys::oid_w_groups(whois);
-        let oid_p_groups = orgkeys::oid_p_groups(pdb);
         let interner = AsnInterner::new(universe(whois, pdb));
-        let (oid_w, _) = delta::merge_feature(
+        let (oid_w, _, oid_w_groups) = org_key_feature(
             &interner,
             &BTreeMap::new(),
             delta::keyed_whois_groups(whois),
         );
-        let (oid_p, _) =
-            delta::merge_feature(&interner, &BTreeMap::new(), delta::keyed_pdb_groups(pdb));
+        let (oid_p, _, oid_p_groups) =
+            org_key_feature(&interner, &BTreeMap::new(), delta::keyed_pdb_groups(pdb));
         let mut feed = SegmentFeed::new(interner.len(), threads);
         for seg in &oid_w {
             feed.feed(&seg.edges);
@@ -560,8 +696,9 @@ impl CoverageReport {
 #[derive(Debug, Clone)]
 pub struct Borges {
     compiled: CompiledEvidence,
-    oid_w_groups: Vec<Vec<Asn>>,
-    oid_p_groups: Vec<Vec<Asn>>,
+    /// Per-feature component arrays for [`Borges::evidence`] and
+    /// [`Borges::contribution`], built on the first call.
+    provenance: OnceLock<Provenance>,
     /// §4.2 extraction output.
     pub ner: NerResult,
     /// §4.3.2 output.
@@ -1064,14 +1201,18 @@ impl Borges {
             .unwrap_or_default();
 
         // Phase A of a streaming build: everything that overlaps the
-        // crawl, with the NER retry backoff spent on a private clock.
-        let (streamed_crawl, mut pre, streamed_ner) = match &plan.engine {
+        // crawl, with the NER retry backoff spent on a private clock. An
+        // incremental build compiles in `apply`, so it precompiles
+        // nothing here.
+        let precompile = plan.base.is_none();
+        let (streamed_crawl, pre, streamed_ner) = match &plan.engine {
             Engine::Staged => (None, None, None),
             Engine::Streaming(opts) => std::thread::scope(|scope| {
                 let crawling = matches!(source, Source::Crawl(_));
                 let (ner_memo, threads) = (&ner_memo, threads);
                 let compute = scope.spawn(move || {
-                    let pre = crawling.then(|| StreamPrecompiled::build(whois, pdb, threads));
+                    let pre = (crawling && precompile)
+                        .then(|| StreamPrecompiled::build(whois, pdb, threads));
                     let clock = Arc::new(SimClock::new());
                     let ner = extract_ner(pdb, model, plan, threads, ner_memo, clock.clone(), tel);
                     (pre, ner, clock.now_ms())
@@ -1081,9 +1222,10 @@ impl Borges {
                         Some(crawl_streaming(pdb, client, opts, plan.retry, tel)),
                         None,
                     ),
-                    Source::Scraped(_) => {
-                        (None, Some(StreamPrecompiled::build(whois, pdb, threads)))
-                    }
+                    Source::Scraped(_) => (
+                        None,
+                        precompile.then(|| StreamPrecompiled::build(whois, pdb, threads)),
+                    ),
                 };
                 let (compute_pre, ner, ner_backoff_ms) = match compute.join() {
                     Ok(out) => out,
@@ -1148,13 +1290,6 @@ impl Borges {
             favicon
         });
 
-        let (oid_w_groups, oid_p_groups) = match &mut pre {
-            Some(pre) => (
-                std::mem::take(&mut pre.oid_w_groups),
-                std::mem::take(&mut pre.oid_p_groups),
-            ),
-            None => (orgkeys::oid_w_groups(whois), orgkeys::oid_p_groups(pdb)),
-        };
         let fingerprints = SourceFingerprints::capture(whois, pdb, report);
         let (compiled, delta) = match plan.base {
             Some(state) => stage(tel, &root, "apply", |span| {
@@ -1180,15 +1315,7 @@ impl Borges {
             None => stage(tel, &root, "compile", |span| {
                 let compiled = match pre {
                     Some(pre) => CompiledEvidence::compile_from_stream(
-                        pre.interner,
-                        pre.oid_w,
-                        pre.oid_p,
-                        pre.feed,
-                        &ner,
-                        &rr,
-                        &favicon,
-                        threads,
-                        tel,
+                        pre, &ner, &rr, &favicon, threads, tel,
                     ),
                     None => {
                         CompiledEvidence::compile(whois, pdb, &ner, &rr, &favicon, threads, tel)
@@ -1202,8 +1329,7 @@ impl Borges {
 
         let borges = Borges {
             compiled,
-            oid_w_groups,
-            oid_p_groups,
+            provenance: OnceLock::new(),
             ner,
             rr,
             favicon,
@@ -1361,8 +1487,8 @@ impl Borges {
             state: self.snapshot_state(),
             epoch: self.world_epoch,
             extras: ServingExtras {
-                oid_w_groups: wire_groups(&self.oid_w_groups),
-                oid_p_groups: wire_groups(&self.oid_p_groups),
+                oid_w_groups: wire_groups(&self.compiled.oid_w_groups),
+                oid_p_groups: wire_groups(&self.compiled.oid_p_groups),
                 ner_entries: self
                     .ner
                     .per_entry
@@ -1519,9 +1645,10 @@ impl Borges {
                 na,
                 rr: rr_segments,
                 favicons,
+                oid_w_groups: live_groups(&extras.oid_w_groups),
+                oid_p_groups: live_groups(&extras.oid_p_groups),
             },
-            oid_w_groups: live_groups(&extras.oid_w_groups),
-            oid_p_groups: live_groups(&extras.oid_p_groups),
+            provenance: OnceLock::new(),
             ner,
             rr,
             favicon,
@@ -1655,9 +1782,12 @@ impl Borges {
         );
         c(
             "borges_evidence_whois_groups_total",
-            self.oid_w_groups.len(),
+            self.compiled.oid_w_groups.len(),
         );
-        c("borges_evidence_pdb_groups_total", self.oid_p_groups.len());
+        c(
+            "borges_evidence_pdb_groups_total",
+            self.compiled.oid_p_groups.len(),
+        );
         c(
             "borges_evidence_rr_groups_total",
             self.rr.merging_groups().count(),
@@ -1987,8 +2117,8 @@ impl Borges {
             },
             evidence: EvidenceSummary {
                 asns: u(self.compiled.interner.live_len()),
-                whois_groups: u(self.oid_w_groups.len()),
-                pdb_groups: u(self.oid_p_groups.len()),
+                whois_groups: u(self.compiled.oid_w_groups.len()),
+                pdb_groups: u(self.compiled.oid_p_groups.len()),
                 rr_groups: u(self.rr.merging_groups().count()),
                 favicon_groups: u(self.favicon.groups.len()),
                 ner_links: u(segment_edge_count(&self.compiled.na)),
@@ -2059,54 +2189,32 @@ impl Borges {
         }
     }
 
+    /// The per-feature component arrays, built on the first call.
+    fn provenance(&self) -> &Provenance {
+        self.provenance.get_or_init(|| Provenance::build(self))
+    }
+
     /// Which evidence sources independently support `a` and `b` being
     /// siblings — the provenance of a merge. An empty result for a pair
     /// the full mapping merges means the link is *transitive only*
     /// (each hop supported by some feature, but no single feature sees
     /// the pair directly end to end).
+    ///
+    /// Two slot lookups and five compares against arrays built once per
+    /// world (on the first call; see `Provenance`).
     pub fn evidence(&self, a: Asn, b: Asn) -> Vec<Feature> {
-        let mut out = Vec::new();
-        let connects = |groups: &[Vec<Asn>]| {
-            let mut uf = UnionFind::new();
-            for group in groups {
-                uf.union_group(group);
-            }
-            uf.same_set(a, b)
+        let provenance = self.provenance();
+        let interner = &self.compiled.interner;
+        let (Some(x), Some(y)) = (provenance.slot(interner, a), provenance.slot(interner, b))
+        else {
+            return Vec::new();
         };
-        if connects(&self.oid_w_groups) {
-            out.push(Feature::OidW);
-        }
-        if connects(&self.oid_p_groups) {
-            out.push(Feature::OidP);
-        }
-        {
-            let mut uf = UnionFind::new();
-            for (x, y) in self.ner.edges() {
-                uf.union(x, y);
-            }
-            if uf.same_set(a, b) {
-                out.push(Feature::NotesAka);
-            }
-        }
-        {
-            let mut uf = UnionFind::new();
-            for group in self.rr.merging_groups() {
-                uf.union_group(group);
-            }
-            if uf.same_set(a, b) {
-                out.push(Feature::RefreshRedirect);
-            }
-        }
-        {
-            let mut uf = UnionFind::new();
-            for group in &self.favicon.groups {
-                uf.union_group(group);
-            }
-            if uf.same_set(a, b) {
-                out.push(Feature::Favicons);
-            }
-        }
-        out
+        Provenance::FEATURES
+            .into_iter()
+            .zip(&provenance.components)
+            .filter(|(_, ids)| ids[x] != UNNAMED && ids[x] == ids[y])
+            .map(|(feature, _)| feature)
+            .collect()
     }
 
     /// Table 3: the feature's contribution in isolation.
@@ -2119,25 +2227,19 @@ impl Borges {
             }
         };
         match feature {
-            Feature::OidW => count(&self.oid_w_groups),
-            Feature::OidP => count(&self.oid_p_groups),
+            Feature::OidW => count(&self.compiled.oid_w_groups),
+            Feature::OidP => count(&self.compiled.oid_p_groups),
             Feature::RefreshRedirect => count(&self.rr.groups),
-            Feature::NotesAka => {
-                // Cluster the extraction edges on their own.
-                let mut uf = UnionFind::new();
-                for (a, b) in self.ner.edges() {
-                    uf.union(a, b);
+            Feature::NotesAka | Feature::Favicons => {
+                // The feature's evidence clustered on its own: every
+                // ASN it names, one organization per component.
+                let ids = self.provenance().components(feature);
+                FeatureContribution {
+                    ases: ids.iter().filter(|&&id| id != UNNAMED).count(),
+                    orgs: (ids.iter().enumerate())
+                        .filter(|&(slot, &id)| id as usize == slot)
+                        .count(),
                 }
-                let groups = uf.into_groups();
-                count(&groups)
-            }
-            Feature::Favicons => {
-                let mut uf = UnionFind::new();
-                for group in &self.favicon.groups {
-                    uf.union_group(group);
-                }
-                let groups = uf.into_groups();
-                count(&groups)
             }
         }
     }
@@ -2146,6 +2248,7 @@ impl Borges {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unionfind::tests::reference_groups;
     use borges_llm::SimLlm;
     use borges_synthnet::{GeneratorConfig, SyntheticInternet};
     use borges_websim::SimWebClient;
@@ -2389,50 +2492,28 @@ mod tests {
 
     #[test]
     fn compiled_replay_matches_sparse_rebuild() {
-        // The dense replay must reproduce, bit for bit, what the original
-        // per-call sparse rebuild produced for every feature subset.
+        // The dense replay must reproduce, for every feature subset, the
+        // components a breadth-first search finds over the raw evidence
+        // restricted to the universe.
         let (_, borges) = pipeline();
-        let allocated: BTreeSet<Asn> = borges.universe().iter().copied().collect();
+        let universe = borges.universe();
         for features in FeatureSet::all_combinations() {
-            let mut uf = UnionFind::with_universe(borges.universe().iter().copied());
-            for group in &borges.oid_w_groups {
-                uf.union_group(group);
-            }
+            let mut groups: Vec<Vec<Asn>> = borges.compiled.oid_w_groups.clone();
             if features.oid_p {
-                for group in &borges.oid_p_groups {
-                    uf.union_group(group);
-                }
+                groups.extend(borges.compiled.oid_p_groups.iter().cloned());
             }
             if features.na {
-                for (a, b) in borges.ner.edges() {
-                    if allocated.contains(&a) && allocated.contains(&b) {
-                        uf.union(a, b);
-                    }
-                }
+                groups.extend(borges.ner.edges().into_iter().map(|(a, b)| vec![a, b]));
             }
             if features.rr {
-                for group in borges.rr.merging_groups() {
-                    let members: Vec<Asn> = group
-                        .iter()
-                        .copied()
-                        .filter(|a| allocated.contains(a))
-                        .collect();
-                    uf.union_group(&members);
-                }
+                groups.extend(borges.rr.merging_groups().cloned());
             }
             if features.favicons {
-                for group in &borges.favicon.groups {
-                    let members: Vec<Asn> = group
-                        .iter()
-                        .copied()
-                        .filter(|a| allocated.contains(a))
-                        .collect();
-                    uf.union_group(&members);
-                }
+                groups.extend(borges.favicon.groups.iter().cloned());
             }
             assert_eq!(
                 borges.mapping(features),
-                AsOrgMapping::from_union_find(uf),
+                AsOrgMapping::from_groups(reference_groups(&universe, &groups)),
                 "replay diverged for {}",
                 features.label()
             );
@@ -2695,7 +2776,7 @@ mod tests {
         assert_eq!(report.ner.llm_calls as usize, borges.ner.stats.llm_calls);
         assert_eq!(
             report.evidence.whois_groups as usize,
-            borges.oid_w_groups.len()
+            borges.compiled.oid_w_groups.len()
         );
         // Boundary rows mirror the stamped resilience stats.
         assert_eq!(report.resilience.len(), 3);

@@ -5,118 +5,12 @@
 //! overlapping clusters from different sources (§4.1's WHOIS/PeeringDB
 //! consolidation, and the feature combinations of Table 6) is transitive
 //! closure, i.e. union-find with path compression and union by size.
+//!
+//! [`DenseUnionFind`] is the workspace's one union-find. Callers intern
+//! their ASNs through an [`AsnInterner`] and chain each evidence group
+//! into dense-id edges ([`crate::delta::chain_edges`]).
 
 use borges_types::{Asn, AsnInterner};
-use std::collections::BTreeMap;
-
-/// A disjoint-set forest keyed by [`Asn`].
-///
-/// Elements are added lazily: any ASN mentioned in a union or lookup is a
-/// member (initially its own singleton set).
-#[derive(Debug, Clone, Default)]
-pub struct UnionFind {
-    index: BTreeMap<Asn, usize>,
-    parent: Vec<usize>,
-    size: Vec<usize>,
-}
-
-impl UnionFind {
-    /// An empty forest.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A forest pre-seeded with `universe` as singletons.
-    pub fn with_universe(universe: impl IntoIterator<Item = Asn>) -> Self {
-        let mut uf = Self::new();
-        for asn in universe {
-            uf.intern(asn);
-        }
-        uf
-    }
-
-    fn intern(&mut self, asn: Asn) -> usize {
-        if let Some(&i) = self.index.get(&asn) {
-            return i;
-        }
-        let i = self.parent.len();
-        self.index.insert(asn, i);
-        self.parent.push(i);
-        self.size.push(1);
-        i
-    }
-
-    fn find(&mut self, mut i: usize) -> usize {
-        while self.parent[i] != i {
-            self.parent[i] = self.parent[self.parent[i]]; // halving
-            i = self.parent[i];
-        }
-        i
-    }
-
-    /// Merges the sets of `a` and `b` (adding them if unseen). Returns
-    /// `true` when the union actually joined two distinct sets.
-    pub fn union(&mut self, a: Asn, b: Asn) -> bool {
-        let (ia, ib) = (self.intern(a), self.intern(b));
-        let (mut ra, mut rb) = (self.find(ia), self.find(ib));
-        if ra == rb {
-            return false;
-        }
-        if self.size[ra] < self.size[rb] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb] = ra;
-        self.size[ra] += self.size[rb];
-        true
-    }
-
-    /// Merges every ASN in `group` into one set. A single-element group
-    /// still registers its member (as a singleton).
-    pub fn union_group(&mut self, group: &[Asn]) {
-        if let Some(&first) = group.first() {
-            self.intern(first);
-        }
-        for pair in group.windows(2) {
-            self.union(pair[0], pair[1]);
-        }
-    }
-
-    /// Are `a` and `b` currently in the same set? (`false` if either is
-    /// unknown.)
-    pub fn same_set(&mut self, a: Asn, b: Asn) -> bool {
-        match (self.index.get(&a).copied(), self.index.get(&b).copied()) {
-            (Some(ia), Some(ib)) => self.find(ia) == self.find(ib),
-            _ => false,
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// `true` when no element was ever added.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Extracts the sets as sorted member lists (deterministic order:
-    /// sets sorted by their smallest ASN).
-    pub fn into_groups(mut self) -> Vec<Vec<Asn>> {
-        let mut by_root: BTreeMap<usize, Vec<Asn>> = BTreeMap::new();
-        let entries: Vec<(Asn, usize)> = self.index.iter().map(|(a, i)| (*a, *i)).collect();
-        for (asn, i) in entries {
-            let root = self.find(i);
-            by_root.entry(root).or_default().push(asn);
-        }
-        let mut groups: Vec<Vec<Asn>> = by_root.into_values().collect();
-        for g in &mut groups {
-            g.sort_unstable();
-        }
-        groups.sort_by_key(|g| g[0]);
-        groups
-    }
-}
 
 /// One worker's accounting from
 /// [`DenseUnionFind::union_edge_lists_sharded`]: which dense-id range it
@@ -157,12 +51,11 @@ pub struct ShardReport {
 
 /// A disjoint-set forest over the dense ids of a fixed universe.
 ///
-/// Where [`UnionFind`] interns ASNs lazily through a `BTreeMap` (right
-/// for ad-hoc evidence probes), `DenseUnionFind` is sized once for an
-/// [`AsnInterner`] universe and then never allocates: two flat `Vec`s,
-/// path-halving finds, union by size. Cloning is two `memcpy`s, which
-/// is what makes the pipeline's replay scheme cheap — the OID_W closure
-/// is computed once and cloned per feature combination.
+/// Sized once for an [`AsnInterner`] universe and then never
+/// allocates: two flat `Vec`s, path-halving finds, union by size.
+/// Cloning is two `memcpy`s, which is what makes the pipeline's replay
+/// scheme cheap — the OID_W closure is computed once and cloned per
+/// feature combination.
 #[derive(Debug, Clone)]
 pub struct DenseUnionFind {
     parent: Vec<u32>,
@@ -277,19 +170,17 @@ impl DenseUnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Replays everything a [`SegmentFeed`] accumulated — convenience
-    /// for `feed.finish(&mut uf, now_ms)`.
-    pub fn union_segment_feed<N>(&mut self, feed: SegmentFeed, now_ms: N) -> ShardReport
-    where
-        N: Fn() -> u64 + Sync,
-    {
-        feed.finish(self, now_ms)
+    /// The id of every element's set: its root, in id order. Two ids
+    /// share a set exactly when their entries are equal, and a root's
+    /// entry is its own id.
+    pub fn component_ids(mut self) -> Vec<u32> {
+        (0..self.len() as u32).map(|id| self.find(id)).collect()
     }
 
     /// Extracts the sets as sorted ASN member lists via `interner`
-    /// (which must be the universe this forest was sized for), in the
-    /// same canonical order as [`UnionFind::into_groups`]: members
-    /// ascending, groups ordered by their smallest ASN.
+    /// (which must be the universe this forest was sized for), in
+    /// canonical order: members ascending, groups ordered by their
+    /// smallest ASN.
     ///
     /// Because fresh interner ids follow ascending ASN order, one pass
     /// over `0..len` builds every group already sorted — no per-group
@@ -493,87 +384,154 @@ impl SegmentFeed {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::delta::chain_edges;
 
     fn a(n: u32) -> Asn {
         Asn::new(n)
     }
 
+    /// Connected components of the graph over `universe` in which each
+    /// group is connected, by breadth-first search: members ascending,
+    /// groups ordered by their smallest ASN. Group members outside
+    /// `universe` are dropped, as the pipeline drops evidence about
+    /// never-allocated ASNs. The independent reference the union-find
+    /// tests (here and in the pipeline) compare against.
+    pub(crate) fn reference_groups(universe: &[Asn], groups: &[Vec<Asn>]) -> Vec<Vec<Asn>> {
+        use std::collections::{BTreeMap, BTreeSet, VecDeque};
+        let mut adjacency: BTreeMap<Asn, BTreeSet<Asn>> =
+            universe.iter().map(|&x| (x, BTreeSet::new())).collect();
+        for group in groups {
+            let inside: Vec<Asn> = group
+                .iter()
+                .copied()
+                .filter(|x| adjacency.contains_key(x))
+                .collect();
+            for &x in &inside {
+                adjacency
+                    .get_mut(&x)
+                    .unwrap()
+                    .extend(inside.iter().copied());
+            }
+        }
+        let mut seen = BTreeSet::new();
+        let mut out = Vec::new();
+        for &start in adjacency.keys() {
+            if !seen.insert(start) {
+                continue;
+            }
+            let mut members = vec![start];
+            let mut queue = VecDeque::from([start]);
+            while let Some(x) = queue.pop_front() {
+                for &y in &adjacency[&x] {
+                    if seen.insert(y) {
+                        members.push(y);
+                        queue.push_back(y);
+                    }
+                }
+            }
+            members.sort_unstable();
+            out.push(members);
+        }
+        out
+    }
+
     #[test]
     fn singletons_until_unioned() {
-        let mut uf = UnionFind::with_universe([a(1), a(2), a(3)]);
-        assert!(!uf.same_set(a(1), a(2)));
-        assert!(uf.union(a(1), a(2)));
-        assert!(uf.same_set(a(1), a(2)));
-        assert!(!uf.same_set(a(1), a(3)));
+        let mut uf = DenseUnionFind::new(3);
+        assert!(!uf.same_set(0, 1));
+        assert!(uf.union(0, 1));
+        assert!(uf.same_set(0, 1));
+        assert!(!uf.same_set(0, 2));
     }
 
     #[test]
     fn union_is_idempotent() {
-        let mut uf = UnionFind::new();
-        assert!(uf.union(a(1), a(2)));
-        assert!(!uf.union(a(1), a(2)));
-        assert!(!uf.union(a(2), a(1)));
+        let mut uf = DenseUnionFind::new(2);
+        assert!(uf.union(0, 1));
+        assert!(!uf.union(0, 1));
+        assert!(!uf.union(1, 0));
     }
 
     #[test]
     fn transitivity() {
-        let mut uf = UnionFind::new();
-        uf.union(a(1), a(2));
-        uf.union(a(2), a(3));
-        uf.union(a(4), a(5));
-        assert!(uf.same_set(a(1), a(3)));
-        assert!(!uf.same_set(a(3), a(4)));
+        let mut uf = DenseUnionFind::new(5);
+        uf.union(0, 1);
+        uf.union(1, 2);
+        uf.union(3, 4);
+        assert!(uf.same_set(0, 2));
+        assert!(!uf.same_set(2, 3));
     }
 
     #[test]
     fn union_group_links_everything() {
-        let mut uf = UnionFind::new();
-        uf.union_group(&[a(1), a(2), a(3), a(4)]);
-        assert!(uf.same_set(a(1), a(4)));
-        uf.union_group(&[a(9)]);
-        assert_eq!(uf.len(), 5);
+        // A group is chained into dense-id edges before the replay.
+        let interner = AsnInterner::new([1, 2, 3, 4, 9].map(a));
+        let groups = vec![vec![a(1), a(2), a(3), a(4)], vec![a(9)]];
+        let mut uf = DenseUnionFind::new(interner.len());
+        uf.union_edges(&chain_edges(&interner, &groups));
+        assert!(uf.same_set(0, 3));
+        assert_eq!(
+            uf.into_groups(&interner),
+            vec![vec![a(1), a(2), a(3), a(4)], vec![a(9)]]
+        );
     }
 
     #[test]
     fn unknown_elements_are_never_same_set() {
-        let mut uf = UnionFind::new();
-        uf.union(a(1), a(2));
-        assert!(!uf.same_set(a(1), a(99)));
-        assert!(!uf.same_set(a(98), a(99)));
+        // ASNs outside the interner get no id, so chaining skips them
+        // and they can join nothing.
+        let interner = AsnInterner::new([1, 2, 3].map(a));
+        let edges = chain_edges(&interner, &[vec![a(1), a(99)], vec![a(98), a(3)]]);
+        assert!(edges.is_empty());
+        assert_eq!(interner.id(a(99)), None);
     }
 
     #[test]
     fn groups_are_sorted_and_complete() {
-        let mut uf = UnionFind::with_universe([a(10), a(5), a(7), a(1)]);
-        uf.union(a(10), a(1));
-        let groups = uf.into_groups();
+        let interner = AsnInterner::new([10, 5, 7, 1].map(a));
+        let mut uf = DenseUnionFind::new(interner.len());
+        uf.union(interner.id(a(10)).unwrap(), interner.id(a(1)).unwrap());
+        let groups = uf.into_groups(&interner);
         assert_eq!(groups, vec![vec![a(1), a(10)], vec![a(5)], vec![a(7)]]);
     }
 
     #[test]
     fn large_chain_has_flat_depth_behaviour() {
         // Sanity/perf guard: a 100k-element chain must resolve instantly.
-        let mut uf = UnionFind::new();
-        for i in 1..100_000u32 {
-            uf.union(a(i), a(i + 1));
+        let n = 100_000u32;
+        let mut uf = DenseUnionFind::new(n as usize);
+        for i in 0..n - 1 {
+            uf.union(i, i + 1);
         }
-        assert!(uf.same_set(a(1), a(100_000)));
-        assert_eq!(uf.into_groups().len(), 1);
+        assert!(uf.same_set(0, n - 1));
+        let interner = AsnInterner::new((1..=n).map(a));
+        assert_eq!(uf.into_groups(&interner).len(), 1);
     }
 
     #[test]
     fn order_of_unions_does_not_change_groups() {
-        let mut uf1 = UnionFind::new();
-        uf1.union(a(1), a(2));
-        uf1.union(a(3), a(4));
-        uf1.union(a(2), a(3));
-        let mut uf2 = UnionFind::new();
-        uf2.union(a(2), a(3));
-        uf2.union(a(3), a(4));
-        uf2.union(a(1), a(2));
-        assert_eq!(uf1.into_groups(), uf2.into_groups());
+        let interner = AsnInterner::new([1, 2, 3, 4].map(a));
+        let mut uf1 = DenseUnionFind::new(4);
+        uf1.union_edges(&[(0, 1), (2, 3), (1, 2)]);
+        let mut uf2 = DenseUnionFind::new(4);
+        uf2.union_edges(&[(1, 2), (2, 3), (0, 1)]);
+        assert_eq!(uf1.into_groups(&interner), uf2.into_groups(&interner));
+    }
+
+    #[test]
+    fn component_ids_name_each_set_by_its_root() {
+        let mut uf = DenseUnionFind::new(5);
+        uf.union_edges(&[(3, 1), (1, 4)]);
+        let ids = uf.component_ids();
+        assert_eq!(ids[1], ids[3]);
+        assert_eq!(ids[1], ids[4]);
+        assert_ne!(ids[0], ids[1]);
+        assert_ne!(ids[2], ids[1]);
+        for (id, &root) in ids.iter().enumerate() {
+            assert_eq!(ids[root as usize], root, "slot {id}'s root is its own root");
+        }
     }
 
     #[test]
@@ -590,18 +548,21 @@ mod tests {
 
     #[test]
     fn dense_groups_match_sparse_groups() {
-        // Same universe, same edges, through both implementations.
+        // The dense forest against a breadth-first search over the same
+        // universe and edges.
         let universe: Vec<Asn> = [17, 3, 99, 41, 8, 23].map(a).to_vec();
         let interner = AsnInterner::new(universe.iter().copied());
         let edges = [(a(3), a(99)), (a(41), a(8)), (a(8), a(3))];
 
-        let mut sparse = UnionFind::with_universe(universe.iter().copied());
         let mut dense = DenseUnionFind::new(interner.len());
         for &(x, y) in &edges {
-            sparse.union(x, y);
             dense.union(interner.id(x).unwrap(), interner.id(y).unwrap());
         }
-        assert_eq!(dense.into_groups(&interner), sparse.into_groups());
+        let pairs: Vec<Vec<Asn>> = edges.iter().map(|&(x, y)| vec![x, y]).collect();
+        assert_eq!(
+            dense.into_groups(&interner),
+            reference_groups(&universe, &pairs)
+        );
     }
 
     #[test]
@@ -786,7 +747,7 @@ mod tests {
             }
             assert_eq!(feed.fed_edges(), soup.len());
             let mut uf = DenseUnionFind::new(n);
-            let report = uf.union_segment_feed(feed, || 0);
+            let report = feed.finish(&mut uf, || 0);
             let spanning: usize = report.shards.iter().map(|t| t.spanning).sum();
             assert_eq!(
                 report.contraction_edges,

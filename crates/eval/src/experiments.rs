@@ -507,10 +507,12 @@ pub fn feature_complementarity(ctx: &ExperimentContext) -> String {
 /// them. Demonstrates quantitatively why θ alone cannot rank methods
 /// (§5.4): removing the blocklists *raises* θ while collapsing precision.
 pub fn ablation_blocklists(ctx: &ExperimentContext) -> String {
+    use borges_core::delta::chain_edges;
     use borges_core::web::favicon::favicon_inference_with;
     use borges_core::web::rr::rr_inference_with;
-    use borges_core::{AsOrgMapping, UnionFind};
+    use borges_core::{AsOrgMapping, DenseUnionFind};
     use borges_llm::SimLlm;
+    use borges_types::AsnInterner;
     use borges_websim::{Scraper, SimWebClient};
 
     let world = &ctx.world;
@@ -522,21 +524,13 @@ pub fn ablation_blocklists(ctx: &ExperimentContext) -> String {
     let build = |apply_blocklist: bool| -> AsOrgMapping {
         let rr = rr_inference_with(&report, apply_blocklist);
         let fav = favicon_inference_with(&report, &llm, apply_blocklist);
-        let allocated: std::collections::BTreeSet<_> =
-            ctx.borges.universe().iter().copied().collect();
-        let mut uf = UnionFind::with_universe(ctx.borges.universe().iter().copied());
-        for (_, members) in ctx.as2org.clusters() {
-            uf.union_group(members);
-        }
-        for group in rr.merging_groups().chain(fav.groups.iter()) {
-            let members: Vec<_> = group
-                .iter()
-                .copied()
-                .filter(|a| allocated.contains(a))
-                .collect();
-            uf.union_group(&members);
-        }
-        AsOrgMapping::from_union_find(uf)
+        let allocated = AsnInterner::new(ctx.borges.universe());
+        let mut uf = DenseUnionFind::new(allocated.len());
+        let as2org: Vec<Vec<_>> = ctx.as2org.clusters().map(|(_, m)| m.to_vec()).collect();
+        let web: Vec<Vec<_>> = rr.merging_groups().chain(&fav.groups).cloned().collect();
+        uf.union_edges(&chain_edges(&allocated, &as2org));
+        uf.union_edges(&chain_edges(&allocated, &web));
+        AsOrgMapping::from_groups(uf.into_groups(&allocated))
     };
 
     let precision = |m: &AsOrgMapping| {

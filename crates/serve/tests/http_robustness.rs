@@ -209,3 +209,91 @@ fn pipelined_garbage_after_a_valid_request_is_ignored() {
     assert_eq!(text.matches("HTTP/1.1").count(), 1, "{text}");
     server.stop();
 }
+
+/// The reload body a client sends to swap in a named store artifact.
+const RELOAD_STORE: &str = "/srv/borges/current.world";
+
+/// A server whose reloader knows one store artifact, [`RELOAD_STORE`]
+/// (it hands back a copy of the serving world), and refuses every other
+/// path the way a missing artifact is refused.
+fn start_reloadable_server() -> Server {
+    let reloader: borges_serve::Reloader = Box::new(|current, store| match store {
+        Some(RELOAD_STORE) | None => Ok(current.clone()),
+        Some(other) => Err(format!("store artifact {other}: missing")),
+    });
+    let config = ServerConfig {
+        threads: 2,
+        queue_depth: 16,
+        read_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    Server::start(config, tiny_borges(), Some(reloader)).expect("bind loopback")
+}
+
+#[test]
+fn damaged_reload_bodies_are_refused_and_the_old_world_keeps_serving() {
+    let server = start_reloadable_server();
+    let client = ServeClient::new(server.local_addr()).with_timeout(Duration::from_secs(5));
+    // The world a `/healthz` answer names: its epoch and digest.
+    let world_of = |client: &ServeClient| {
+        let health = client.get("/healthz").expect("healthz");
+        let value: serde_json::Value = serde_json::from_str(health.body_text()).expect("json");
+        let field = |name: &str| value.get(name).map(|v| v.to_string());
+        (field("epoch"), field("world_digest"))
+    };
+    let before = world_of(&client);
+    assert!(before.1.is_some(), "{before:?}");
+    let honest = format!("{{\"store\": \"{RELOAD_STORE}\"}}").into_bytes();
+
+    // Non-empty truncations (an empty body is the documented reload
+    // from the default source), single-bit flips, and bodies made
+    // non-UTF-8 by one continuation byte amid the ASCII.
+    let mut corruptor = borges_store::Corruptor::new(0x0bad_b0d1);
+    let mut bodies: Vec<Vec<u8>> = Vec::new();
+    for _ in 0..60 {
+        bodies.push(honest[..1 + corruptor.below(honest.len() - 1)].to_vec());
+    }
+    for _ in 0..120 {
+        let mut body = honest.clone();
+        corruptor.flip_bit(&mut body);
+        bodies.push(body);
+    }
+    for _ in 0..30 {
+        let mut body = honest.clone();
+        let at = corruptor.below(body.len());
+        body[at] = 0x80 | corruptor.below(0x40) as u8;
+        bodies.push(body);
+    }
+
+    let (mut bad_request, mut refused_path) = (0, 0);
+    for body in &bodies {
+        let response = client.post("/v1/admin/reload", body).expect("loopback io");
+        // A flip inside the path leaves a well-formed request naming
+        // another artifact: the reloader refuses it as missing (500, as
+        // for any failed reload). Everything else is not a reload
+        // request at all: 400.
+        let names_another_store = std::str::from_utf8(body)
+            .ok()
+            .and_then(|text| serde_json::from_str::<serde_json::Value>(text).ok())
+            .is_some_and(|value| value.get("store").and_then(|s| s.as_str()).is_some());
+        if names_another_store {
+            assert_eq!(response.status, 500, "{:?}", String::from_utf8_lossy(body));
+            refused_path += 1;
+        } else {
+            assert_eq!(response.status, 400, "{:?}", String::from_utf8_lossy(body));
+            bad_request += 1;
+        }
+        assert_eq!(server.epoch(), 0, "{:?}", String::from_utf8_lossy(body));
+    }
+    assert!(
+        bad_request > 0 && refused_path > 0,
+        "{bad_request}/{refused_path}"
+    );
+    assert_eq!(world_of(&client), before, "the old world keeps serving");
+
+    // The honest body does reload, so the sweep damaged a live request.
+    let reload = client.post("/v1/admin/reload", &honest).expect("reload");
+    assert_eq!(reload.status, 200, "{reload:?}");
+    assert_eq!(server.epoch(), 1);
+    server.stop();
+}

@@ -774,6 +774,62 @@ mod tests {
     }
 
     #[test]
+    fn damaged_manifests_fail_closed() {
+        // Seeded truncations and single-bit flips of a valid three-epoch
+        // manifest. `open` never panics and never accepts a chain other
+        // than the honest one unless `verify` then refuses it: damage is
+        // refused at `open` with a manifest-level error, or — when it
+        // leaves a well-formed chain (a flip inside the tip's world
+        // digest, its epoch, or a delta digest) — at `verify`. Damage
+        // that leaves the chain's meaning intact (a space flipped to a
+        // leading zero the JSON reader tolerates) opens as the honest
+        // chain.
+        let (dir, timeline) = three_epoch_timeline("damaged-manifest");
+        let honest_links = timeline.links().to_vec();
+        drop(timeline);
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let honest = std::fs::read(&manifest_path).unwrap();
+        let mut corruptor = borges_store::Corruptor::new(0x7117);
+        let (mut at_open, mut at_verify, mut unchanged) = (0, 0, 0);
+        for case in 0..600 {
+            let damaged = if case % 3 == 0 {
+                corruptor.truncate(&honest)
+            } else {
+                let mut bytes = honest.clone();
+                corruptor.flip_bit(&mut bytes);
+                bytes
+            };
+            std::fs::write(&manifest_path, &damaged).unwrap();
+            match Timeline::open(&dir) {
+                Err(err) => {
+                    assert!(
+                        matches!(err.kind(), "corrupt" | "schema" | "broken_chain"),
+                        "case {case}: {err}"
+                    );
+                    at_open += 1;
+                }
+                Ok(opened) if opened.links() == honest_links => unchanged += 1,
+                Ok(opened) => {
+                    let err = opened.verify().expect_err("a damaged chain verified");
+                    assert!(
+                        matches!(
+                            err.kind(),
+                            "missing_world" | "tampered_world" | "missing_delta" | "tampered_delta"
+                        ),
+                        "case {case}: {err}"
+                    );
+                    at_verify += 1;
+                }
+            }
+        }
+        assert_eq!(at_open + at_verify + unchanged, 600);
+        eprintln!("{at_open}/{at_verify}/{unchanged}");
+        std::fs::write(&manifest_path, &honest).unwrap();
+        Timeline::open(&dir).unwrap().verify().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn epoch_relabeling_is_detected() {
         // Rewrite the manifest renaming epoch 1 → 5 while keeping the
         // digests intact: the worlds still verify as artifacts, but the

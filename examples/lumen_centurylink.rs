@@ -10,10 +10,11 @@
 //! cargo run --example lumen_centurylink
 //! ```
 
+use borges_core::delta::chain_edges;
 use borges_core::orgkeys::{oid_p_mapping, oid_w_mapping};
-use borges_core::UnionFind;
+use borges_core::DenseUnionFind;
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
-use borges_types::Asn;
+use borges_types::{Asn, AsnInterner};
 
 fn main() {
     let world = SyntheticInternet::generate(&GeneratorConfig::tiny(42));
@@ -44,17 +45,19 @@ fn main() {
     );
 
     println!("\n== Borges: consolidating partially overlapping clusters (§4.1) ==");
-    let mut uf = UnionFind::new();
-    for (_, members) in whois_map.clusters() {
-        uf.union_group(members);
-    }
-    for (_, members) in pdb_map.clusters() {
-        uf.union_group(members);
-    }
+    let clusters: Vec<Vec<Asn>> = whois_map
+        .clusters()
+        .chain(pdb_map.clusters())
+        .map(|(_, members)| members.to_vec())
+        .collect();
+    let interner = AsnInterner::new(whois_map.asns().chain(pdb_map.asns()));
+    let mut uf = DenseUnionFind::new(interner.len());
+    uf.union_edges(&chain_edges(&interner, &clusters));
+    let id = |asn: Asn| interner.id(asn).expect("registered");
     println!("  WHOIS brings {{AS3356, AS3549}}; PeeringDB brings {{AS3356, AS209}};");
     println!(
         "  union-find closes the triangle: AS3549 ~ AS209? {}",
-        uf.same_set(gblx, centurylink)
+        uf.same_set(id(gblx), id(centurylink))
     );
     println!(
         "  ground truth agrees: {}",

@@ -1,8 +1,8 @@
 //! Property-based tests over the core data structures and invariants.
 
 use borges_core::orgfactor::organization_factor;
-use borges_core::{AsOrgMapping, UnionFind};
-use borges_types::{Asn, FaviconHash, Url};
+use borges_core::{AsOrgMapping, DenseUnionFind};
+use borges_types::{Asn, AsnInterner, FaviconHash, Url};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -81,27 +81,29 @@ proptest! {
     fn union_find_groups_partition_the_universe(
         unions in prop::collection::vec((1u32..40, 1u32..40), 0..80)
     ) {
-        let mut uf = UnionFind::new();
-        let mut seen: BTreeSet<Asn> = BTreeSet::new();
+        let interner = AsnInterner::new((1u32..40).map(Asn::new));
+        let id = |n: u32| interner.id(Asn::new(n)).unwrap();
+        let mut uf = DenseUnionFind::new(interner.len());
         for (a, b) in &unions {
-            uf.union(Asn::new(*a), Asn::new(*b));
-            seen.insert(Asn::new(*a));
-            seen.insert(Asn::new(*b));
+            uf.union(id(*a), id(*b));
         }
-        let groups = uf.clone().into_groups();
-        // Partition: disjoint cover of exactly the seen elements.
+        let groups = uf.clone().into_groups(&interner);
+        // Partition: disjoint cover of exactly the universe.
         let mut covered = BTreeSet::new();
         for group in &groups {
             for asn in group {
                 prop_assert!(covered.insert(*asn), "element in two groups");
             }
         }
-        prop_assert_eq!(covered, seen);
-        // same_set agrees with group membership.
+        prop_assert_eq!(covered, interner.live_asns().into_iter().collect::<BTreeSet<_>>());
+        // same_set agrees with group membership, and every union holds.
         for group in &groups {
             for pair in group.windows(2) {
-                prop_assert!(uf.same_set(pair[0], pair[1]));
+                prop_assert!(uf.same_set(id(pair[0].value()), id(pair[1].value())));
             }
+        }
+        for (a, b) in &unions {
+            prop_assert!(uf.same_set(id(*a), id(*b)));
         }
     }
 
@@ -109,12 +111,14 @@ proptest! {
     fn union_find_is_order_insensitive(
         mut unions in prop::collection::vec((1u32..30, 1u32..30), 1..40)
     ) {
+        let interner = AsnInterner::new((1u32..30).map(Asn::new));
         let run = |pairs: &[(u32, u32)]| {
-            let mut uf = UnionFind::new();
+            let mut uf = DenseUnionFind::new(interner.len());
             for (a, b) in pairs {
-                uf.union(Asn::new(*a), Asn::new(*b));
+                let id = |n: u32| interner.id(Asn::new(n)).unwrap();
+                uf.union(id(*a), id(*b));
             }
-            uf.into_groups()
+            uf.into_groups(&interner)
         };
         let forward = run(&unions);
         unions.reverse();
