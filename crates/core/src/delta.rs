@@ -38,7 +38,11 @@ use borges_types::hash::{fnv1a_extend, FNV1A_OFFSET};
 use borges_types::{Asn, AsnInterner, FaviconHash, WhoisOrgId};
 use borges_websim::{ScrapeReport, ScrapedSite};
 use borges_whois::{AutNum, WhoisOrg, WhoisRegistry};
+use std::borrow::Borrow;
+use std::cell::Cell;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 /// An incremental FNV-1a (64-bit) fingerprint builder with
 /// length-prefixed field framing, so `("ab", "c")` and `("a", "bc")`
@@ -216,16 +220,27 @@ pub struct SourceDelta {
 }
 
 impl SourceDelta {
-    fn compute<K: Ord>(old: &BTreeMap<K, u64>, new: &BTreeMap<K, u64>) -> Self {
+    /// Classifies one source's records by a merge-join of the earlier
+    /// and later `(key, fingerprint)` sequences. Both must be strictly
+    /// ascending by key, as every capture and every validated stored
+    /// state is.
+    fn compute<K: Ord, F: Borrow<u64>>(
+        old: impl IntoIterator<Item = (K, F)>,
+        new: impl IntoIterator<Item = (K, F)>,
+    ) -> Self {
         let mut delta = SourceDelta::default();
+        let mut old = old.into_iter().peekable();
         for (key, fp) in new {
-            match old.get(key) {
-                Some(old_fp) if old_fp == fp => delta.unchanged += 1,
+            while old.next_if(|(k, _)| *k < key).is_some() {
+                delta.removed += 1;
+            }
+            match old.next_if(|(k, _)| *k == key) {
+                Some((_, old_fp)) if old_fp.borrow() == fp.borrow() => delta.unchanged += 1,
                 Some(_) => delta.modified += 1,
                 None => delta.added += 1,
             }
         }
-        delta.removed = old.keys().filter(|k| !new.contains_key(k)).count();
+        delta.removed += old.count();
         delta
     }
 
@@ -256,16 +271,69 @@ pub struct SnapshotDelta {
     pub site: SourceDelta,
 }
 
+/// A WHOIS org handle as stored, ordered by its canonical form — what
+/// `WhoisOrgId::new` makes of it — without allocating that form.
+#[derive(Debug, Clone, Copy)]
+struct HandleKey<'a>(&'a str);
+
+impl HandleKey<'_> {
+    fn canonical(&self) -> impl Iterator<Item = u8> + '_ {
+        self.0.trim().bytes().map(|b| b.to_ascii_uppercase())
+    }
+}
+
+impl Ord for HandleKey<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.canonical().cmp(other.canonical())
+    }
+}
+
+impl PartialOrd for HandleKey<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for HandleKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for HandleKey<'_> {}
+
 impl SnapshotDelta {
-    /// Classifies every record by comparing stored (snapshot T) against
-    /// fresh (snapshot T+1) fingerprints.
-    pub fn compute(old: &SourceFingerprints, new: &SourceFingerprints) -> Self {
+    /// Classifies every record by comparing the fingerprints stored in
+    /// snapshot T's state against fresh (snapshot T+1) ones: a
+    /// merge-join over the stored records, which a validated state
+    /// holds strictly ascending by key ([`SnapshotState::validate`]).
+    pub fn compute(old: &SnapshotState, new: &SourceFingerprints) -> Self {
+        // A key that does not parse at the source's key width names no
+        // record (the typed accessor drops it too).
+        fn numeric<N: FromStr>(records: &[KeyFp]) -> impl Iterator<Item = (N, u64)> + '_ {
+            records
+                .iter()
+                .filter_map(|rec| Some((rec.key.parse().ok()?, rec.fp)))
+        }
+        fn by_asn(map: &BTreeMap<Asn, u64>) -> impl Iterator<Item = (u32, u64)> + '_ {
+            map.iter().map(|(asn, &fp)| (asn.value(), fp))
+        }
         SnapshotDelta {
-            whois_org: SourceDelta::compute(&old.whois_org, &new.whois_org),
-            whois_aut: SourceDelta::compute(&old.whois_aut, &new.whois_aut),
-            pdb_org: SourceDelta::compute(&old.pdb_org, &new.pdb_org),
-            pdb_net: SourceDelta::compute(&old.pdb_net, &new.pdb_net),
-            site: SourceDelta::compute(&old.site, &new.site),
+            whois_org: SourceDelta::compute(
+                old.whois_org_fps
+                    .iter()
+                    .map(|rec| (HandleKey(&rec.key), rec.fp)),
+                new.whois_org
+                    .iter()
+                    .map(|(org, &fp)| (HandleKey(org.as_str()), fp)),
+            ),
+            whois_aut: SourceDelta::compute(numeric(&old.whois_aut_fps), by_asn(&new.whois_aut)),
+            pdb_org: SourceDelta::compute(
+                numeric(&old.pdb_org_fps),
+                new.pdb_org.iter().map(|(&org, &fp)| (org, fp)),
+            ),
+            pdb_net: SourceDelta::compute(numeric(&old.pdb_net_fps), by_asn(&new.pdb_net)),
+            site: SourceDelta::compute(numeric(&old.site_fps), by_asn(&new.site)),
         }
     }
 
@@ -358,13 +426,14 @@ pub struct SegmentDelta {
 /// Merges one feature's segments across snapshots: for every fresh key,
 /// reuse the prior segment when its member fingerprint is unchanged,
 /// otherwise re-derive the edges over the current interner. Keys absent
-/// from `fresh` simply drop out. Passing an empty `prior` map is the
-/// full (non-incremental) compile — every segment derives fresh — which
+/// from `fresh` simply drop out. Passing an empty `prior` is the full
+/// (non-incremental) compile — every segment derives fresh — which
 /// keeps the two paths on one code path and makes the byte-identity
-/// keystone structural.
-pub fn merge_feature<K: Ord + Clone>(
+/// keystone structural. Only a retained segment's stored edges are
+/// converted to the live form.
+pub fn merge_feature<K: SegmentKey>(
     interner: &AsnInterner,
-    prior: &BTreeMap<K, EdgeSegment<K>>,
+    prior: &PriorSegments<'_, K>,
     fresh: Vec<(K, Vec<Vec<Asn>>)>,
 ) -> (Vec<EdgeSegment<K>>, SegmentDelta) {
     let mut segments = Vec::with_capacity(fresh.len());
@@ -372,10 +441,11 @@ pub fn merge_feature<K: Ord + Clone>(
     for (key, groups) in fresh {
         let fp = group_fp(interner, &groups);
         match prior.get(&key) {
-            Some(seg) if seg.fp == fp => {
+            Some(rec) if rec.fp == fp => {
                 delta.segments_retained += 1;
-                delta.edges_retained += seg.edges.len();
-                segments.push(seg.clone());
+                delta.edges_retained += rec.edges.len();
+                let edges = rec.edges.iter().map(|e| (e.a, e.b)).collect();
+                segments.push(EdgeSegment { key, fp, edges });
             }
             _ => {
                 let edges = chain_edges(interner, &groups);
@@ -386,6 +456,110 @@ pub fn merge_feature<K: Ord + Clone>(
         }
     }
     (segments, delta)
+}
+
+/// A segment source key, as the persisted state spells it: WHOIS org
+/// handles and final URLs verbatim, PeeringDB org ids, NER subjects and
+/// favicon hashes as decimals.
+pub trait SegmentKey: Sized {
+    /// A stored record's key read back, borrowing its text where the
+    /// key is textual.
+    type Stored<'a>: Ord;
+    /// Reads a stored key; `None` when it does not parse.
+    fn parse(key: &str) -> Option<Self::Stored<'_>>;
+    /// Orders this live key against a stored one.
+    fn cmp_stored(&self, stored: &Self::Stored<'_>) -> Ordering;
+}
+
+impl SegmentKey for String {
+    type Stored<'a> = &'a str;
+    fn parse(key: &str) -> Option<&str> {
+        Some(key)
+    }
+    fn cmp_stored(&self, stored: &&str) -> Ordering {
+        self.as_str().cmp(stored)
+    }
+}
+
+macro_rules! numeric_segment_key {
+    ($($t:ty),*) => {$(
+        impl SegmentKey for $t {
+            type Stored<'a> = $t;
+            fn parse(key: &str) -> Option<$t> {
+                key.parse().ok()
+            }
+            fn cmp_stored(&self, stored: &$t) -> Ordering {
+                self.cmp(stored)
+            }
+        }
+    )*};
+}
+numeric_segment_key!(u32, u64);
+
+/// One feature's prior segments, borrowed from a stored
+/// [`SnapshotState`] and sorted by key: nothing is cloned until
+/// [`merge_feature`] retains a segment. Among records sharing a key the
+/// last one stored wins, as a keyed-map rebuild would have it.
+pub struct PriorSegments<'a, K: SegmentKey> {
+    by_key: Vec<(K::Stored<'a>, &'a SegmentRecord)>,
+    /// How many entries sort at or before the last key looked up.
+    cursor: Cell<usize>,
+}
+
+impl<'a, K: SegmentKey> PriorSegments<'a, K> {
+    /// Indexes `records`; records whose key does not parse are skipped.
+    pub fn new(records: &'a [SegmentRecord]) -> Self {
+        let mut by_key: Vec<_> = records
+            .iter()
+            .filter_map(|rec| Some((K::parse(&rec.key)?, rec)))
+            .collect();
+        // Stable, so duplicates stay in stored order and `get` finds the
+        // last of them.
+        by_key.sort_by(|x, y| x.0.cmp(&y.0));
+        PriorSegments {
+            by_key,
+            cursor: Cell::new(0),
+        }
+    }
+
+    /// The stored segment under `key`. Fresh keys arrive ascending, so
+    /// each lookup walks on from where the last one stopped — a
+    /// merge-join over the two key sequences; a key below the cursor
+    /// falls back to a binary search.
+    pub fn get(&self, key: &K) -> Option<&'a SegmentRecord> {
+        let at_or_before =
+            |(stored, _): &(K::Stored<'a>, _)| key.cmp_stored(stored) != Ordering::Less;
+        let mut end = self.cursor.get();
+        if end > 0 && !at_or_before(&self.by_key[end - 1]) {
+            end = self.by_key.partition_point(at_or_before);
+        } else {
+            while self.by_key.get(end).is_some_and(at_or_before) {
+                end += 1;
+            }
+        }
+        self.cursor.set(end);
+        let (stored, rec) = self.by_key.get(end.checked_sub(1)?)?;
+        (key.cmp_stored(stored) == Ordering::Equal).then_some(*rec)
+    }
+}
+
+impl<K: SegmentKey> Default for PriorSegments<'_, K> {
+    fn default() -> Self {
+        PriorSegments {
+            by_key: Vec::new(),
+            cursor: Cell::new(0),
+        }
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Index<&str> for PriorSegments<'_, String> {
+    type Output = SegmentRecord;
+
+    fn index(&self, key: &str) -> &SegmentRecord {
+        self.get(&key.to_string())
+            .unwrap_or_else(|| panic!("no prior segment under {key:?}"))
+    }
 }
 
 /// Everything an incremental [`Borges::build`](crate::pipeline::Borges::build)
@@ -464,6 +638,13 @@ pub struct EdgeRecord {
     pub a: u32,
     /// Second endpoint (dense id).
     pub b: u32,
+}
+
+#[cfg(test)]
+impl PartialEq<(u32, u32)> for EdgeRecord {
+    fn eq(&self, &(a, b): &(u32, u32)) -> bool {
+        self.a == a && self.b == b
+    }
 }
 
 /// One edge segment on the wire. Non-string keys (PeeringDB org ids,
@@ -566,26 +747,6 @@ fn segment_records<K: ToString>(segments: &[EdgeSegment<K>]) -> Vec<SegmentRecor
         .collect()
 }
 
-fn prior_map<K: Ord + Clone>(
-    records: &[SegmentRecord],
-    parse: impl Fn(&str) -> Option<K>,
-) -> BTreeMap<K, EdgeSegment<K>> {
-    records
-        .iter()
-        .filter_map(|rec| {
-            let key = parse(&rec.key)?;
-            Some((
-                key.clone(),
-                EdgeSegment {
-                    key,
-                    fp: rec.fp,
-                    edges: rec.edges.iter().map(|e| (e.a, e.b)).collect(),
-                },
-            ))
-        })
-        .collect()
-}
-
 fn key_fps<K: ToString>(map: &BTreeMap<K, u64>) -> Vec<KeyFp> {
     map.iter()
         .map(|(key, &fp)| KeyFp {
@@ -678,9 +839,13 @@ impl SnapshotState {
     }
 
     /// The structural invariants every persisted state must satisfy
-    /// before any typed accessor is trusted: the schema tag matches and
-    /// every stringified numeric key parses back. The binary
-    /// store's decoder runs it on every loaded world.
+    /// before any typed accessor is trusted: the schema tag matches,
+    /// every numeric segment key parses back (notes/aka subjects as
+    /// `u32` ASNs), and every source's fingerprint records are strictly
+    /// ascending by key — WHOIS handles in their canonical form, the
+    /// rest as numbers — which is the order a capture writes them in
+    /// and the order [`SnapshotDelta::compute`]'s merge-join relies on.
+    /// The binary store's decoder runs it on every loaded world.
     pub fn validate(&self) -> Result<(), String> {
         if self.schema != SNAPSHOT_STATE_SCHEMA {
             return Err(format!(
@@ -688,28 +853,45 @@ impl SnapshotState {
                 self.schema, SNAPSHOT_STATE_SCHEMA
             ));
         }
-        let numeric = |records: &[SegmentRecord], what: &str| -> Result<(), String> {
+        fn numeric<N: FromStr>(records: &[SegmentRecord], what: &str) -> Result<(), String> {
+            match records.iter().find(|rec| rec.key.parse::<N>().is_err()) {
+                Some(rec) => Err(format!(
+                    "non-numeric or out-of-range {what} segment key {:?}",
+                    rec.key
+                )),
+                None => Ok(()),
+            }
+        }
+        numeric::<u64>(&self.oid_p, "oid_p")?;
+        numeric::<u32>(&self.na, "na")?;
+        numeric::<u64>(&self.favicons, "favicons")?;
+        fn ascending<'a, K: Ord>(
+            records: &'a [KeyFp],
+            what: &str,
+            parse: impl Fn(&'a str) -> Option<K>,
+        ) -> Result<(), String> {
+            let mut prev: Option<K> = None;
             for rec in records {
-                rec.key
-                    .parse::<u64>()
-                    .map_err(|_| format!("non-numeric {what} segment key {:?}", rec.key))?;
+                let key = parse(&rec.key)
+                    .ok_or_else(|| format!("malformed {what} fingerprint key {:?}", rec.key))?;
+                if prev.as_ref().is_some_and(|prev| *prev >= key) {
+                    return Err(format!(
+                        "{what} fingerprint key {:?} is out of order or duplicated",
+                        rec.key
+                    ));
+                }
+                prev = Some(key);
             }
             Ok(())
-        };
-        numeric(&self.oid_p, "oid_p")?;
-        numeric(&self.na, "na")?;
-        numeric(&self.favicons, "favicons")?;
-        for fps in [
-            &self.whois_aut_fps,
-            &self.pdb_org_fps,
-            &self.pdb_net_fps,
-            &self.site_fps,
+        }
+        ascending(&self.whois_org_fps, "whois_org", |k| Some(HandleKey(k)))?;
+        for (what, records) in [
+            ("whois_aut", &self.whois_aut_fps),
+            ("pdb_org", &self.pdb_org_fps),
+            ("pdb_net", &self.pdb_net_fps),
+            ("site", &self.site_fps),
         ] {
-            for rec in fps {
-                rec.key
-                    .parse::<u64>()
-                    .map_err(|_| format!("non-numeric fingerprint key {:?}", rec.key))?;
-            }
+            ascending(records, what, |k| k.parse::<u64>().ok())?;
         }
         Ok(())
     }
@@ -719,29 +901,29 @@ impl SnapshotState {
         self.slots.iter().map(|s| (Asn::new(s.asn), s.live))
     }
 
-    /// Prior OID_W segments, keyed.
-    pub fn prior_oid_w(&self) -> BTreeMap<String, EdgeSegment<String>> {
-        prior_map(&self.oid_w, |k| Some(k.to_string()))
+    /// Prior OID_W segments, keyed by WHOIS org handle.
+    pub fn prior_oid_w(&self) -> PriorSegments<'_, String> {
+        PriorSegments::new(&self.oid_w)
     }
 
-    /// Prior OID_P segments, keyed.
-    pub fn prior_oid_p(&self) -> BTreeMap<u64, EdgeSegment<u64>> {
-        prior_map(&self.oid_p, |k| k.parse().ok())
+    /// Prior OID_P segments, keyed by PeeringDB org id.
+    pub fn prior_oid_p(&self) -> PriorSegments<'_, u64> {
+        PriorSegments::new(&self.oid_p)
     }
 
-    /// Prior notes/aka segments, keyed.
-    pub fn prior_na(&self) -> BTreeMap<u32, EdgeSegment<u32>> {
-        prior_map(&self.na, |k| k.parse().ok())
+    /// Prior notes/aka segments, keyed by subject ASN.
+    pub fn prior_na(&self) -> PriorSegments<'_, u32> {
+        PriorSegments::new(&self.na)
     }
 
-    /// Prior R&R segments, keyed.
-    pub fn prior_rr(&self) -> BTreeMap<String, EdgeSegment<String>> {
-        prior_map(&self.rr, |k| Some(k.to_string()))
+    /// Prior R&R segments, keyed by canonical final URL.
+    pub fn prior_rr(&self) -> PriorSegments<'_, String> {
+        PriorSegments::new(&self.rr)
     }
 
-    /// Prior favicon segments, keyed.
-    pub fn prior_favicons(&self) -> BTreeMap<u64, EdgeSegment<u64>> {
-        prior_map(&self.favicons, |k| k.parse().ok())
+    /// Prior favicon segments, keyed by favicon hash.
+    pub fn prior_favicons(&self) -> PriorSegments<'_, u64> {
+        PriorSegments::new(&self.favicons)
     }
 
     /// The stored source fingerprints, typed.
@@ -927,14 +1109,14 @@ mod tests {
             ("keep".to_string(), vec![vec![a(1), a(2)]]),
             ("moved".to_string(), vec![vec![a(3), a(4)]]),
         ];
-        let (full, _) = merge_feature(&interner, &BTreeMap::new(), fresh.clone());
+        let (full, _) = merge_feature(&interner, &PriorSegments::default(), fresh.clone());
         assert_eq!(full.len(), 2);
 
         // Second snapshot: "keep" unchanged, "moved" gains a member.
-        let mut prior: BTreeMap<String, EdgeSegment<String>> =
-            full.iter().map(|s| (s.key.clone(), s.clone())).collect();
+        let mut stored = segment_records(&full);
         // Poison the prior edges of "keep" to prove retention reuses them.
-        prior.get_mut("keep").unwrap().edges = vec![(0, 1)];
+        stored[0].edges = vec![EdgeRecord { a: 0, b: 1 }];
+        let prior = PriorSegments::new(&stored);
         let fresh2 = vec![
             ("keep".to_string(), vec![vec![a(1), a(2)]]),
             ("moved".to_string(), vec![vec![a(2), a(3), a(4)]]),
@@ -946,6 +1128,33 @@ mod tests {
         assert_eq!(delta.edges_rederived, 2);
         assert_eq!(merged[0].edges, vec![(0, 1)], "retained verbatim");
         assert_eq!(merged[1].edges, vec![(1, 2), (2, 3)], "re-derived fresh");
+    }
+
+    #[test]
+    fn prior_segments_find_keys_in_any_order_and_the_last_duplicate() {
+        let rec = |key: &str, fp: u64| SegmentRecord {
+            key: key.to_string(),
+            fp,
+            edges: vec![],
+        };
+        let stored = vec![
+            rec("9", 1),
+            rec("100", 2),
+            rec("9", 3),
+            rec("x", 4),
+            rec("5", 5),
+        ];
+        let prior: PriorSegments<'_, u64> = PriorSegments::new(&stored);
+        let fp = |key: u64| prior.get(&key).map(|rec| rec.fp);
+        // Ascending lookups walk forward; a smaller key searches again.
+        assert_eq!(fp(5), Some(5));
+        assert_eq!(fp(9), Some(3), "the last record under a key wins");
+        assert_eq!(fp(50), None);
+        assert_eq!(fp(100), Some(2));
+        assert_eq!(fp(101), None);
+        assert_eq!(fp(9), Some(3));
+        assert_eq!(fp(4), None);
+        assert_eq!(fp(5), Some(5));
     }
 
     #[test]
@@ -1014,5 +1223,125 @@ mod tests {
         });
         let err = state.validate().unwrap_err();
         assert!(err.contains("non-numeric"), "{err}");
+    }
+
+    use proptest::prelude::*;
+
+    /// The record classification as a per-key map walk: every later
+    /// key looked up in the earlier map, then every earlier key looked
+    /// up in the later one. The oracle the stored-record merge-join is
+    /// pinned to.
+    fn oracle_source_delta<K: Ord>(old: &BTreeMap<K, u64>, new: &BTreeMap<K, u64>) -> SourceDelta {
+        let mut delta = SourceDelta::default();
+        for (key, fp) in new {
+            match old.get(key) {
+                Some(old_fp) if old_fp == fp => delta.unchanged += 1,
+                Some(_) => delta.modified += 1,
+                None => delta.added += 1,
+            }
+        }
+        delta.removed = old.keys().filter(|k| !new.contains_key(k)).count();
+        delta
+    }
+
+    fn oracle_snapshot_delta(old: &SourceFingerprints, new: &SourceFingerprints) -> SnapshotDelta {
+        SnapshotDelta {
+            whois_org: oracle_source_delta(&old.whois_org, &new.whois_org),
+            whois_aut: oracle_source_delta(&old.whois_aut, &new.whois_aut),
+            pdb_org: oracle_source_delta(&old.pdb_org, &new.pdb_org),
+            pdb_net: oracle_source_delta(&old.pdb_net, &new.pdb_net),
+            site: oracle_source_delta(&old.site, &new.site),
+        }
+    }
+
+    /// One source's records across two snapshots: per key slot, whether
+    /// it exists in the earlier / later snapshot and its two
+    /// fingerprints (drawn from a tiny range, so unchanged records are
+    /// common).
+    fn churn() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
+        prop::collection::vec((0u8..4, 0u64..3, 0u64..3), 0..40)
+    }
+
+    /// Splits a churn draw into the two snapshots' maps. Keys come from
+    /// `key(i)`; slot kind 0 is in both with one fingerprint, 1 only in
+    /// the earlier snapshot, 2 only in the later, 3 in both with two
+    /// (possibly equal) fingerprints.
+    fn split<K: Ord>(
+        draw: &[(u8, u64, u64)],
+        key: impl Fn(usize) -> K,
+    ) -> (BTreeMap<K, u64>, BTreeMap<K, u64>) {
+        let (mut old, mut new) = (BTreeMap::new(), BTreeMap::new());
+        for (i, &(kind, a, b)) in draw.iter().enumerate() {
+            if kind != 2 {
+                old.insert(key(i), a);
+            }
+            match kind {
+                0 => {
+                    new.insert(key(i), a);
+                }
+                2 | 3 => {
+                    new.insert(key(i), b);
+                }
+                _ => {}
+            }
+        }
+        (old, new)
+    }
+
+    /// Keys whose decimal strings sort differently from their values
+    /// ("100" < "3"), so a string-ordered join would miscount.
+    fn asn_key(i: usize) -> Asn {
+        Asn::new(i as u32 * 97 + 3)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn record_delta_matches_the_btreemap_oracle(
+            orgs in churn(),
+            auts in churn(),
+            pdb_orgs in churn(),
+            nets in churn(),
+            sites in churn(),
+        ) {
+            let mut old = SourceFingerprints::default();
+            let mut new = SourceFingerprints::default();
+            (old.whois_org, new.whois_org) =
+                split(&orgs, |i| WhoisOrgId::new(format!("ORG-{i}")));
+            (old.whois_aut, new.whois_aut) = split(&auts, asn_key);
+            (old.pdb_org, new.pdb_org) =
+                split(&pdb_orgs, |i| (i as u64) * 1_000_003 + 7);
+            (old.pdb_net, new.pdb_net) = split(&nets, asn_key);
+            (old.site, new.site) = split(&sites, asn_key);
+            let state = SnapshotState::build(
+                &AsnInterner::new([]),
+                &[],
+                &[],
+                &[],
+                &[],
+                &[],
+                &old,
+                &NerResult::default(),
+                &FaviconInference::default(),
+            );
+            state.validate().unwrap();
+            let expected = oracle_snapshot_delta(&old, &new);
+            prop_assert_eq!(oracle_snapshot_delta(&state.fingerprints(), &new), expected);
+            prop_assert_eq!(SnapshotDelta::compute(&state, &new), expected);
+
+            // Stored forms a capture never writes but validation admits:
+            // lower-case handles, and an ASN key past `u32` (a record
+            // the typed accessor drops).
+            let mut odd = state.clone();
+            for rec in &mut odd.whois_org_fps {
+                rec.key = format!(" {} ", rec.key.to_lowercase());
+            }
+            odd.whois_aut_fps.push(KeyFp { key: "4294967296".to_string(), fp: 1 });
+            odd.validate().unwrap();
+            prop_assert_eq!(
+                SnapshotDelta::compute(&odd, &new),
+                oracle_snapshot_delta(&odd.fingerprints(), &new)
+            );
+        }
     }
 }

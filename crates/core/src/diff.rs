@@ -14,7 +14,6 @@
 
 use crate::mapping::{AsOrgMapping, ClusterId};
 use borges_types::Asn;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// A later-mapping organization assembled from several earlier ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,76 +62,81 @@ impl MappingDiff {
 /// Computes the difference between two mappings. Structural comparisons
 /// (merge/split detection) consider only ASNs present in *both* mappings,
 /// so allocation churn does not masquerade as reorganization.
+///
+/// Linear apart from two sorts: one merge-join over both mappings'
+/// ascending ASNs splits them into appeared, disappeared and shared;
+/// the shared ASNs, tagged with their two cluster ids, are then sorted
+/// once by after-cluster (merges) and once by before-cluster (splits),
+/// and each event is a run of that order.
 pub fn diff(before: &AsOrgMapping, after: &AsOrgMapping) -> MappingDiff {
-    let before_asns: BTreeSet<Asn> = before.asns().collect();
-    let after_asns: BTreeSet<Asn> = after.asns().collect();
-    let shared: BTreeSet<Asn> = before_asns.intersection(&after_asns).copied().collect();
-
-    let mut out = MappingDiff {
-        appeared: after_asns.difference(&before_asns).copied().collect(),
-        disappeared: before_asns.difference(&after_asns).copied().collect(),
-        ..Default::default()
-    };
-
-    // Group shared ASNs by (after cluster → before fragments) and
-    // (before cluster → after pieces).
-    let mut by_after: BTreeMap<ClusterId, BTreeMap<ClusterId, Vec<Asn>>> = BTreeMap::new();
-    let mut by_before: BTreeMap<ClusterId, BTreeMap<ClusterId, Vec<Asn>>> = BTreeMap::new();
-    for &asn in &shared {
-        let b = before.cluster_of(asn).expect("shared asn is in before");
-        let a = after.cluster_of(asn).expect("shared asn is in after");
-        by_after
-            .entry(a)
-            .or_default()
-            .entry(b)
-            .or_default()
-            .push(asn);
-        by_before
-            .entry(b)
-            .or_default()
-            .entry(a)
-            .or_default()
-            .push(asn);
-    }
-
-    for (after_id, fragments) in &by_after {
-        if fragments.len() > 1 {
-            out.merges.push(MergeEvent {
-                after: *after_id,
-                fragments: fragments.values().cloned().collect(),
-            });
+    let mut out = MappingDiff::default();
+    // (after cluster, before cluster, asn) per shared ASN.
+    let mut by_after: Vec<(ClusterId, ClusterId, Asn)> = Vec::new();
+    let mut earlier = before.iter().peekable();
+    for (asn, a) in after.iter() {
+        while let Some((gone, _)) = earlier.next_if(|&(x, _)| x < asn) {
+            out.disappeared.push(gone);
+        }
+        match earlier.next_if(|&(x, _)| x == asn) {
+            Some((_, b)) => by_after.push((a, b, asn)),
+            None => out.appeared.push(asn),
         }
     }
-    for (before_id, pieces) in &by_before {
+    out.disappeared.extend(earlier.map(|(asn, _)| asn));
+
+    let asns = |run: &[(ClusterId, ClusterId, Asn)]| run.iter().map(|t| t.2).collect();
+    let mut by_before = by_after.clone();
+    by_before.sort_unstable_by_key(|&(a, b, asn)| (b, a, asn));
+    for run in runs(&by_before, |t| t.1) {
+        let pieces: Vec<_> = runs(run, |t| t.0).collect();
         if pieces.len() > 1 {
             out.splits.push(SplitEvent {
-                before: *before_id,
-                pieces: pieces.values().cloned().collect(),
+                before: run[0].1,
+                pieces: pieces.into_iter().map(asns).collect(),
             });
         }
     }
 
-    // Unchanged: identical membership over the shared universe, and the
-    // cluster is whole in both (no appeared/disappeared members hiding
-    // inside).
-    for (after_id, fragments) in &by_after {
-        if fragments.len() != 1 {
-            continue;
-        }
-        let (before_id, members) = fragments.iter().next().expect("one fragment");
-        if by_before[before_id].len() == 1
-            && before.members(*before_id).len() == members.len()
-            && after.members(*after_id).len() == members.len()
+    by_after.sort_unstable();
+    for run in runs(&by_after, |t| t.0) {
+        let fragments: Vec<_> = runs(run, |t| t.1).collect();
+        let (after_id, before_id) = (run[0].0, run[0].1);
+        if fragments.len() > 1 {
+            out.merges.push(MergeEvent {
+                after: after_id,
+                fragments: fragments.into_iter().map(asns).collect(),
+            });
+        } else if before.members(before_id).len() == run.len()
+            && after.members(after_id).len() == run.len()
         {
+            // Unchanged: one fragment that is the whole cluster on both
+            // sides (so the before cluster did not split either, and no
+            // appeared/disappeared members hide inside).
             out.unchanged_clusters += 1;
         }
     }
     out
 }
 
+/// The maximal runs of equal `key` in a slice sorted by it.
+fn runs<T, K: PartialEq>(items: &[T], key: impl Fn(&T) -> K) -> impl Iterator<Item = &[T]> {
+    let mut rest = items;
+    std::iter::from_fn(move || {
+        let first = key(rest.first()?);
+        let len = rest
+            .iter()
+            .position(|item| key(item) != first)
+            .unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some(run)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn m(groups: &[&[u32]]) -> AsOrgMapping {
         AsOrgMapping::from_groups(

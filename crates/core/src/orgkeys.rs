@@ -16,13 +16,14 @@ use std::collections::BTreeMap;
 /// (`OID_W`): one `(handle, members)` entry per organization, handles
 /// ascending, members ascending. The one WHOIS grouping pass — the
 /// mapping, the flat groups and the pipeline's keyed segments
-/// ([`crate::delta::keyed_whois_groups`]) all read it.
+/// ([`crate::delta::keyed_whois_groups`]) all read it. It reads the
+/// registry's own org-to-members index rather than regrouping the
+/// aut-nums.
 pub fn by_whois_org(whois: &WhoisRegistry) -> Vec<(&str, Vec<Asn>)> {
-    let mut groups: BTreeMap<&str, Vec<Asn>> = BTreeMap::new();
-    for aut in whois.aut_nums() {
-        groups.entry(aut.org.as_str()).or_default().push(aut.asn);
-    }
-    sorted_members(groups)
+    whois
+        .members()
+        .map(|(org, members)| (org.as_str(), members.iter().copied().collect()))
+        .collect()
 }
 
 /// Every PeeringDB-registered ASN grouped by its PeeringDB organization
@@ -154,5 +155,66 @@ mod tests {
         assert_eq!(groups.len(), 2);
         let total: usize = groups.iter().map(Vec::len).sum();
         assert_eq!(total, 3);
+    }
+
+    /// The WHOIS grouping as a regrouping of every aut-num through a
+    /// handle-keyed map — the oracle [`by_whois_org`] is pinned to.
+    fn oracle_by_whois_org(whois: &WhoisRegistry) -> Vec<(&str, Vec<Asn>)> {
+        let mut groups: BTreeMap<&str, Vec<Asn>> = BTreeMap::new();
+        for aut in whois.aut_nums() {
+            groups.entry(aut.org.as_str()).or_default().push(aut.asn);
+        }
+        groups
+            .into_iter()
+            .map(|(key, mut members)| {
+                members.sort_unstable();
+                (key, members)
+            })
+            .collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn by_whois_org_equals_the_regrouping_it_replaces(
+            owners in prop::collection::vec(0usize..12, 0..60),
+            orgs in 1usize..14,
+        ) {
+            // Handles whose string order differs from their numbering
+            // ("ORG-10" < "ORG-2"); some own nothing.
+            let org = |i: usize| WhoisOrg {
+                id: WhoisOrgId::new(format!("org-{i}")),
+                name: OrgName::new(format!("org {i}")),
+                country: "US".parse().unwrap(),
+                source: Rir::RipeNcc,
+                changed: 0,
+            };
+            let auts = owners.iter().enumerate().map(|(i, &owner)| AutNum {
+                // Descending ASNs: registry input order is not ASN order.
+                asn: Asn::new(4_000_000 - i as u32 * 613),
+                name: format!("N{i}"),
+                org: WhoisOrgId::new(format!("org-{}", owner % orgs)),
+                source: Rir::RipeNcc,
+                changed: 0,
+            });
+            let whois = WhoisRegistry::builder()
+                .extend((0..orgs).map(org), auts)
+                .build()
+                .unwrap();
+            prop_assert_eq!(by_whois_org(&whois), oracle_by_whois_org(&whois));
+        }
+    }
+
+    #[test]
+    fn by_whois_org_equals_the_regrouping_on_a_generated_world() {
+        let world = borges_synthnet::SyntheticInternet::generate(
+            &borges_synthnet::GeneratorConfig::tiny(5),
+        );
+        assert_eq!(
+            by_whois_org(&world.whois),
+            oracle_by_whois_org(&world.whois)
+        );
     }
 }

@@ -20,8 +20,8 @@
 //! ([`Borges::mappings`]).
 
 use crate::delta::{
-    self, DeltaStats, EdgeSegment, SegmentDelta, SnapshotDelta, SnapshotState, SourceDelta,
-    SourceFingerprints,
+    self, DeltaStats, EdgeSegment, PriorSegments, SegmentDelta, SegmentKey, SnapshotDelta,
+    SnapshotState, SourceDelta, SourceFingerprints,
 };
 use crate::mapping::{canonical_groups, AsOrgMapping};
 use crate::ner::{extract_with_memo, NerConfig, NerMemoEntry, NerResult};
@@ -359,9 +359,9 @@ struct CompiledEvidence {
 /// One registry's org-key feature from its single group-by-key pass:
 /// the edge segments merged against `prior`, and the same groups
 /// flattened into canonical order.
-fn org_key_feature<K: Ord + Clone>(
+fn org_key_feature<K: SegmentKey>(
     interner: &AsnInterner,
-    prior: &BTreeMap<K, EdgeSegment<K>>,
+    prior: &PriorSegments<'_, K>,
     keyed: Vec<(K, Vec<Vec<Asn>>)>,
 ) -> (Vec<EdgeSegment<K>>, SegmentDelta, Vec<Vec<Asn>>) {
     let groups = canonical_groups(keyed.iter().map(|(_, groups)| groups.concat()));
@@ -412,20 +412,28 @@ impl CompiledEvidence {
         let universe = universe(whois, pdb);
         let mut interner = AsnInterner::from_slots(state.slot_pairs());
         let mut stats = DeltaStats::default();
-        for asn in interner.live_asns() {
-            if universe.contains(&asn) {
-                stats.asns_retained += 1;
-            } else {
-                interner.retire(asn);
+        // One merge-join of the stored live universe against the new one.
+        let live = interner.live_asns();
+        let mut live = live.into_iter().peekable();
+        let mut arrivals = Vec::new();
+        for &asn in &universe {
+            while let Some(gone) = live.next_if(|&x| x < asn) {
+                interner.retire(gone);
                 stats.asns_retired += 1;
             }
+            match live.next_if_eq(&asn) {
+                Some(_) => stats.asns_retained += 1,
+                None => arrivals.push(asn),
+            }
+        }
+        for gone in live {
+            interner.retire(gone);
+            stats.asns_retired += 1;
         }
         // Ascending order keeps appended slot ids deterministic.
-        for &asn in &universe {
-            if !interner.contains(asn) {
-                interner.append(asn);
-                stats.asns_added += 1;
-            }
+        for asn in arrivals {
+            interner.append(asn);
+            stats.asns_added += 1;
         }
         let (compiled, [oid_w, oid_p, na, rr_d, favicons]) = Self::build(
             interner,
@@ -538,12 +546,19 @@ impl CompiledEvidence {
             oid_w_groups,
             oid_p_groups,
         } = pre;
-        let (na, _) =
-            delta::merge_feature(&interner, &BTreeMap::new(), delta::keyed_ner_groups(ner));
-        let (rr, _) = delta::merge_feature(&interner, &BTreeMap::new(), delta::keyed_rr_groups(rr));
+        let (na, _) = delta::merge_feature(
+            &interner,
+            &PriorSegments::default(),
+            delta::keyed_ner_groups(ner),
+        );
+        let (rr, _) = delta::merge_feature(
+            &interner,
+            &PriorSegments::default(),
+            delta::keyed_rr_groups(rr),
+        );
         let (favicons, _) = delta::merge_feature(
             &interner,
-            &BTreeMap::new(),
+            &PriorSegments::default(),
             delta::keyed_favicon_groups(favicon),
         );
         let mut base = DenseUnionFind::new(interner.len());
@@ -596,11 +611,14 @@ impl StreamPrecompiled {
         let interner = AsnInterner::new(universe(whois, pdb));
         let (oid_w, _, oid_w_groups) = org_key_feature(
             &interner,
-            &BTreeMap::new(),
+            &PriorSegments::default(),
             delta::keyed_whois_groups(whois),
         );
-        let (oid_p, _, oid_p_groups) =
-            org_key_feature(&interner, &BTreeMap::new(), delta::keyed_pdb_groups(pdb));
+        let (oid_p, _, oid_p_groups) = org_key_feature(
+            &interner,
+            &PriorSegments::default(),
+            delta::keyed_pdb_groups(pdb),
+        );
         let mut feed = SegmentFeed::new(interner.len(), threads);
         for seg in &oid_w {
             feed.feed(&seg.edges);
@@ -1296,7 +1314,7 @@ impl Borges {
                 let (compiled, mut d) = CompiledEvidence::apply_delta(
                     state, whois, pdb, &ner, &rr, &favicon, threads, tel,
                 );
-                d.records = SnapshotDelta::compute(&state.fingerprints(), &fingerprints);
+                d.records = SnapshotDelta::compute(state, &fingerprints);
                 span.field("asns", compiled.interner.live_len());
                 span.field("records_dirty", d.records.dirty());
                 span.field(

@@ -20,13 +20,15 @@
 //! [`GroupDecision`]: crate::web::favicon::GroupDecision
 
 use crate::delta::SnapshotState;
+use crate::mapping::AsOrgMapping;
 use crate::ner::NerStats;
+use crate::unionfind::DenseUnionFind;
 use crate::web::favicon::FaviconStats;
 use crate::web::rr::RrStats;
 use borges_llm::chat::Usage;
 use borges_resilience::ResilienceStats;
 use borges_telemetry::CacheStats;
-use borges_types::Url;
+use borges_types::{AsnInterner, Url};
 use borges_websim::ScrapeStats;
 
 /// One NER extraction row on the wire: a subject ASN and its filtered
@@ -410,6 +412,34 @@ impl CompiledWorld {
             }
         }
         Ok(())
+    }
+
+    /// The all-features mapping this world materializes — what
+    /// [`Borges::from_world`](crate::pipeline::Borges::from_world)
+    /// followed by `full()` returns — by direct replay: one union of
+    /// every stored segment edge over the stored slots, without
+    /// rebuilding a pipeline.
+    ///
+    /// # Panics
+    /// If the world has not passed [`CompiledWorld::validate`] (every
+    /// world a store load returns has): duplicate slots or out-of-range
+    /// edges.
+    pub fn full_mapping(&self) -> AsOrgMapping {
+        let state = &self.state;
+        let interner = AsnInterner::from_slots(state.slot_pairs());
+        let mut uf = DenseUnionFind::new(interner.len());
+        for segments in [
+            &state.oid_w,
+            &state.oid_p,
+            &state.na,
+            &state.rr,
+            &state.favicons,
+        ] {
+            for edge in segments.iter().flat_map(|seg| &seg.edges) {
+                uf.union(edge.a, edge.b);
+            }
+        }
+        AsOrgMapping::from_groups(uf.into_groups(&interner))
     }
 }
 

@@ -123,6 +123,60 @@ fn seeded_bit_flip_sweep_maps_to_region_classes() {
     }
 }
 
+/// Re-encodes a doctored copy of the clean world (so every checksum and
+/// the digest are honest) and returns the typed refusal.
+fn insane_world_error(doctor: impl FnOnce(&mut borges_core::world::CompiledWorld)) -> StoreError {
+    let mut world = decode_world(artifact_bytes())
+        .expect("clean artifact decodes")
+        .world;
+    doctor(&mut world);
+    decode_world(&encode_world(&world)).expect_err("a doctored world decoded")
+}
+
+fn assert_world_decode_error(err: StoreError, what: &str) {
+    match &err {
+        StoreError::Decode { section, detail } => {
+            assert_eq!(section, "world", "{what}: {detail}");
+        }
+        other => panic!("{what}: expected a world decode error, got {other:?}"),
+    }
+}
+
+#[test]
+fn out_of_order_duplicate_and_oversized_keys_are_world_decode_errors() {
+    // Well-checksummed worlds that only a broken writer produces. The
+    // record-delta merge-join and the timeline's direct replay trust the
+    // fingerprint order and the notes/aka key width, so the loader must
+    // refuse these before either runs.
+    let mut corruptor = Corruptor::new(0x5eed);
+    let pick = |corruptor: &mut Corruptor, len: usize| {
+        assert!(len >= 2, "the tiny world has records to reorder");
+        corruptor.below(len - 1)
+    };
+
+    let err = insane_world_error(|world| {
+        let fps = &mut world.state.whois_aut_fps;
+        let i = pick(&mut corruptor, fps.len());
+        fps.swap(i, i + 1);
+    });
+    assert_world_decode_error(err, "swapped aut-num fingerprints");
+
+    let err = insane_world_error(|world| {
+        let fps = &mut world.state.pdb_net_fps;
+        let i = pick(&mut corruptor, fps.len());
+        let copy = fps[i].clone();
+        fps.insert(i + 1, copy);
+    });
+    assert_world_decode_error(err, "duplicated network fingerprint");
+
+    let err = insane_world_error(|world| {
+        let na = &mut world.state.na;
+        let i = pick(&mut corruptor, na.len());
+        na[i].key = (u64::from(u32::MAX) + 1 + i as u64).to_string();
+    });
+    assert_world_decode_error(err, "notes/aka key past u32::MAX");
+}
+
 #[test]
 fn schema_and_format_version_skew_is_schema_mismatch() {
     let bytes = artifact_bytes();

@@ -28,6 +28,7 @@ use borges_store::{
     decode_world, encode_world, world_digest, Corruptor, StoreError, STORE_SCHEMA_VERSION,
 };
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
+use borges_types::WhoisOrgId;
 use borges_websim::SimWebClient;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -356,11 +357,15 @@ fn random_world(seed: u64) -> CompiledWorld {
     };
     let oid_w = segments(&mut rng, false);
     let oid_p = segments(&mut rng, true);
-    let na = segments(&mut rng, true);
+    // notes/aka keys are subject ASNs: valid only within `u32`.
+    let mut na = segments(&mut rng, true);
+    for seg in &mut na {
+        seg.key = (seg.key.parse::<u64>().unwrap() & u64::from(u32::MAX)).to_string();
+    }
     let rr = segments(&mut rng, false);
     let favicons = segments(&mut rng, true);
     let fps = |rng: &mut Corruptor, numeric_keys: bool| -> Vec<KeyFp> {
-        (0..rng.below(5))
+        let mut fps: Vec<KeyFp> = (0..rng.below(5))
             .map(|_| KeyFp {
                 key: if numeric_keys {
                     let v = u64_edge(rng);
@@ -370,7 +375,16 @@ fn random_world(seed: u64) -> CompiledWorld {
                 },
                 fp: u64_edge(rng),
             })
-            .collect()
+            .collect();
+        // A valid state holds each source's records strictly ascending
+        // by key: handles in canonical form, the rest as numbers.
+        let order = |rec: &KeyFp| match rec.key.parse::<u64>() {
+            Ok(v) if numeric_keys => (v, String::new()),
+            _ => (0, WhoisOrgId::new(&rec.key).to_string()),
+        };
+        fps.sort_by_key(order);
+        fps.dedup_by(|x, y| order(x) == order(y));
+        fps
     };
     let whois_org_fps = fps(&mut rng, false);
     let whois_aut_fps = fps(&mut rng, true);

@@ -40,46 +40,61 @@ pub struct AssignmentDelta {
     pub removed: Vec<u32>,
 }
 
+/// A mapping's `(asn, anchor)` pairs — each ASN with the lowest member
+/// ASN of its organization — ASNs ascending.
+fn anchored(mapping: &AsOrgMapping) -> impl Iterator<Item = (u32, u32)> + '_ {
+    mapping
+        .iter()
+        .map(|(asn, id)| (asn.value(), mapping.members(id)[0].value()))
+}
+
 /// Collapses a mapping to its anchor map: ASN → lowest member ASN of
 /// its organization.
 pub fn assignments(mapping: &AsOrgMapping) -> BTreeMap<u32, u32> {
-    let mut out = BTreeMap::new();
-    for (_, members) in mapping.clusters() {
-        let anchor = members[0].value();
-        for &asn in members {
-            out.insert(asn.value(), anchor);
-        }
-    }
-    out
+    anchored(mapping).collect()
 }
 
 /// Rebuilds the mapping an anchor map describes. Exact inverse of
-/// [`assignments`] thanks to `from_groups` normalization.
+/// [`assignments`] thanks to `from_groups` normalization. One sort by
+/// `(anchor, asn)` lays every organization out as a run.
 pub fn mapping_from_assignments(assignments: &BTreeMap<u32, u32>) -> AsOrgMapping {
-    let mut groups: BTreeMap<u32, Vec<Asn>> = BTreeMap::new();
-    for (&asn, &anchor) in assignments {
-        groups.entry(anchor).or_default().push(Asn::new(asn));
+    let mut by_anchor: Vec<(u32, u32)> = assignments
+        .iter()
+        .map(|(&asn, &anchor)| (anchor, asn))
+        .collect();
+    by_anchor.sort_unstable();
+    let mut groups: Vec<Vec<Asn>> = Vec::new();
+    let mut current = None;
+    for (anchor, asn) in by_anchor {
+        if current != Some(anchor) {
+            current = Some(anchor);
+            groups.push(Vec::new());
+        }
+        groups
+            .last_mut()
+            .expect("a group is open")
+            .push(Asn::new(asn));
     }
-    AsOrgMapping::from_groups(groups.into_values())
+    AsOrgMapping::from_groups(groups)
 }
 
 impl AssignmentDelta {
     /// Computes the minimal delta taking `parent`'s assignment to
-    /// `child`'s.
+    /// `child`'s, by one merge-join of their ascending anchor pairs.
     pub fn between(parent: &AsOrgMapping, child: &AsOrgMapping) -> AssignmentDelta {
-        let before = assignments(parent);
-        let after = assignments(child);
         let mut set = Vec::new();
-        for (&asn, &anchor) in &after {
-            if before.get(&asn) != Some(&anchor) {
+        let mut removed = Vec::new();
+        let mut before = anchored(parent).peekable();
+        for (asn, anchor) in anchored(child) {
+            while let Some((gone, _)) = before.next_if(|&(x, _)| x < asn) {
+                removed.push(gone);
+            }
+            let was = before.next_if(|&(x, _)| x == asn).map(|(_, anchor)| anchor);
+            if was != Some(anchor) {
                 set.push(DeltaRow { asn, anchor });
             }
         }
-        let removed = before
-            .keys()
-            .filter(|asn| !after.contains_key(asn))
-            .copied()
-            .collect();
+        removed.extend(before.map(|(asn, _)| asn));
         AssignmentDelta {
             schema: DELTA_SCHEMA.to_string(),
             set,

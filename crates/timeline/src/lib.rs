@@ -47,6 +47,7 @@ pub use lineage::{classify, render_diff_json, LineageStep, OrgLineage};
 use borges_core::diff::{diff as mapping_diff, MappingDiff};
 use borges_core::mapping::AsOrgMapping;
 use borges_core::pipeline::Borges;
+use borges_core::world::CompiledWorld;
 use borges_store::{
     encode_world, encoded_digest, load_artifact, sha256, verify_artifact, StoreError, ARTIFACT_EXT,
 };
@@ -174,8 +175,9 @@ impl Timeline {
         let world_path = worlds_dir.join(format!("{digest}.{ARTIFACT_EXT}"));
         borges_store::write_atomic(&world_path, &bytes)
             .map_err(|e| StoreError::from_io(&world_path, e))?;
-        // Free the encoding before the parent world is loaded below.
-        drop(bytes);
+        // Free the world and its encoding before the parent world is
+        // loaded below.
+        drop((world, bytes));
 
         let parent = self.tip().cloned();
         let delta_digest = match &parent {
@@ -246,42 +248,48 @@ impl Timeline {
     /// pipeline. The loaded artifact must still match the chained
     /// content address and carry the chained epoch.
     pub fn load_epoch(&self, epoch: u64, threads: usize) -> Result<Borges, TimelineError> {
-        let link = self.link_at(epoch)?.clone();
-        let path = self.world_path(&link);
-        if !path.exists() {
-            return Err(TimelineError::MissingWorld {
-                epoch: link.epoch,
-                digest: link.world_digest,
-            });
-        }
-        let loaded = load_artifact(&path).map_err(|e| TimelineError::TamperedWorld {
+        let link = self.link_at(epoch)?;
+        let world = self.load_world(link)?;
+        Borges::from_world(&world, threads).map_err(|detail| TimelineError::TamperedWorld {
             epoch: link.epoch,
             digest: link.world_digest.clone(),
-            detail: e.to_string(),
-        })?;
-        if loaded.digest != link.world_digest {
-            return Err(TimelineError::TamperedWorld {
-                epoch: link.epoch,
-                digest: link.world_digest,
-                detail: format!("artifact digest is {}", loaded.digest),
-            });
-        }
-        if loaded.world.epoch != link.epoch {
-            return Err(TimelineError::TamperedWorld {
-                epoch: link.epoch,
-                digest: link.world_digest,
-                detail: format!("world carries epoch {}", loaded.world.epoch),
-            });
-        }
-        Borges::from_world(&loaded.world, threads).map_err(|detail| TimelineError::TamperedWorld {
-            epoch: link.epoch,
-            digest: link.world_digest,
             detail,
         })
     }
 
+    /// The one checked load of a link's world artifact: present, intact
+    /// (checksums and semantic validation), at the chained content
+    /// address, and stamped with the chained epoch.
+    fn load_world(&self, link: &TimelineLink) -> Result<CompiledWorld, TimelineError> {
+        let tampered = |detail: String| TimelineError::TamperedWorld {
+            epoch: link.epoch,
+            digest: link.world_digest.clone(),
+            detail,
+        };
+        let path = self.world_path(link);
+        if !path.exists() {
+            return Err(TimelineError::MissingWorld {
+                epoch: link.epoch,
+                digest: link.world_digest.clone(),
+            });
+        }
+        let loaded = load_artifact(&path).map_err(|e| tampered(e.to_string()))?;
+        if loaded.digest != link.world_digest {
+            return Err(tampered(format!("artifact digest is {}", loaded.digest)));
+        }
+        if loaded.world.epoch != link.epoch {
+            return Err(tampered(format!(
+                "world carries epoch {}",
+                loaded.world.epoch
+            )));
+        }
+        Ok(loaded.world)
+    }
+
+    /// A link's all-features mapping, replayed straight from its checked
+    /// world ([`CompiledWorld::full_mapping`]).
     fn mapping_of_link(&self, link: &TimelineLink) -> Result<AsOrgMapping, TimelineError> {
-        Ok(self.load_epoch(link.epoch, 1)?.full())
+        Ok(self.load_world(link)?.full_mapping())
     }
 
     /// Reads, digest-checks, and decodes one link's delta file.
@@ -682,6 +690,42 @@ mod tests {
         reopened.load_epoch(0, 1).unwrap();
     }
 
+    fn flip_middle_byte(path: &Path) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn append_onto_a_tampered_tip_fails_closed_and_leaves_the_manifest_untouched() {
+        let (dir, mut timeline) = three_epoch_timeline("tamper-tip");
+        flip_middle_byte(&timeline.world_path(timeline.tip().unwrap()));
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let manifest = std::fs::read(&manifest_path).unwrap();
+        let links = timeline.links().to_vec();
+        let w = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
+        let err = timeline.append(&mut compile(&w)).unwrap_err();
+        assert_eq!(err.kind(), "tampered_world", "{err}");
+        assert_eq!(std::fs::read(&manifest_path).unwrap(), manifest);
+        assert_eq!(timeline.links(), links.as_slice());
+        assert!(!dir.join(DELTAS_DIR).join("3.delta").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn diff_over_a_tampered_base_fails_closed() {
+        let (dir, timeline) = three_epoch_timeline("tamper-base");
+        flip_middle_byte(&timeline.world_path(&timeline.links()[0]));
+        for (t1, t2) in [(0, 1), (0, 2), (0, 0)] {
+            let err = timeline.diff(t1, t2).unwrap_err();
+            assert_eq!(err.kind(), "tampered_world", "({t1},{t2}): {err}");
+        }
+        // A diff based past the damage still answers.
+        timeline.diff(1, 2).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn missing_world_and_delta_are_detected() {
         let (_dir, timeline) = three_epoch_timeline("missing");
@@ -780,10 +824,10 @@ mod tests {
         // than the honest one unless `verify` then refuses it: damage is
         // refused at `open` with a manifest-level error, or — when it
         // leaves a well-formed chain (a flip inside the tip's world
-        // digest, its epoch, or a delta digest) — at `verify`. Damage
-        // that leaves the chain's meaning intact (a space flipped to a
-        // leading zero the JSON reader tolerates) opens as the honest
-        // chain.
+        // digest, its epoch, or a delta digest) — at `verify`. A space
+        // flipped to a leading zero (`02`) fails at `open` as `corrupt`:
+        // JSON numbers take no leading zeros. Damage that leaves the
+        // chain's meaning intact opens as the honest chain.
         let (dir, timeline) = three_epoch_timeline("damaged-manifest");
         let honest_links = timeline.links().to_vec();
         drop(timeline);
@@ -824,6 +868,22 @@ mod tests {
         }
         assert_eq!(at_open + at_verify + unchanged, 600);
         eprintln!("{at_open}/{at_verify}/{unchanged}");
+        std::fs::write(&manifest_path, &honest).unwrap();
+        Timeline::open(&dir).unwrap().verify().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_leading_zero_epoch_is_refused_at_open() {
+        let (dir, timeline) = three_epoch_timeline("leading-zero");
+        drop(timeline);
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let honest = std::fs::read_to_string(&manifest_path).unwrap();
+        let forged = honest.replace("\"epoch\": 2", "\"epoch\": 02");
+        assert_ne!(honest, forged);
+        std::fs::write(&manifest_path, &forged).unwrap();
+        let err = Timeline::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), "corrupt", "{err}");
         std::fs::write(&manifest_path, &honest).unwrap();
         Timeline::open(&dir).unwrap().verify().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

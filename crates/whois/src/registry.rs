@@ -166,6 +166,13 @@ impl WhoisRegistry {
             .flat_map(|set| set.iter().copied())
     }
 
+    /// Every organization that owns at least one ASN, handles ascending,
+    /// with its ASNs ascending — the org-to-members index the registry
+    /// builds once at load.
+    pub fn members(&self) -> impl Iterator<Item = (&WhoisOrgId, &BTreeSet<Asn>)> {
+        self.members.iter()
+    }
+
     /// Iterates all allocated ASNs in ascending order. This is the vertex
     /// universe of the Organization Factor graph (§5.4).
     pub fn all_asns(&self) -> impl Iterator<Item = Asn> + '_ {
